@@ -1,7 +1,9 @@
 package cfrt
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cluster"
@@ -396,6 +398,7 @@ func TestMidRunAbortLeavesNoProcesses(t *testing.T) {
 	// run or an operator interrupt would) and verify the kernel can
 	// tear everything down — no leaked goroutines, no panics from
 	// processes blocked in locks, conditions, or barriers.
+	before := runtime.NumGoroutine()
 	k := sim.NewKernel(7)
 	m := cluster.NewMachine(k, arch.Cedar32, arch.DefaultCosts())
 	o := xylem.New(m)
@@ -420,6 +423,15 @@ func TestMidRunAbortLeavesNoProcesses(t *testing.T) {
 		t.Fatalf("%d processes alive after run", k.LiveProcs())
 	}
 	k.Shutdown() // must be a harmless no-op now
+	// Every process coroutine has ended; only the goroutine that ran
+	// rt.Run may still be winding down after its send.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, want at most %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestPartialRunThenShutdown(t *testing.T) {

@@ -138,10 +138,14 @@ func (rt *Runtime) crossClusterLoop(l *Loop, c Construct) {
 		waited := rt.barrierCond.Wait(lead.Proc)
 		lead.Charge(waited, metrics.CatBarrierWait)
 	}
+	// Every helper has detached, so retire the loop before the final
+	// access: a helper must not join a finished loop while the lead
+	// blocks in it, or its cluster job can be posted after the runtime
+	// has decided to shut the workers down.
+	rt.cur = nil
 	// The final barrier-count read that observes completion.
 	lead.GMAccessAs(rt.barrierAddr, 1, metrics.CatBarrierWait)
 	rt.Mon.Post(hpm.EvBarrierExit, lead.Global(), int32(al.gen))
-	rt.cur = nil
 	rt.OS.Poll(lead)
 }
 

@@ -57,10 +57,10 @@ func TestParseKeyOrderAndDefaults(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, line := range []string{
-		"config=8proc plan=ce:1@500",          // missing app
-		"app=FLO52 plan=ce:1@500",             // missing config
-		"app=FLO52 config=8proc",              // missing plan
-		"app=FLO52 config=8proc plan=bogus",   // bad plan grammar
+		"config=8proc plan=ce:1@500",                        // missing app
+		"app=FLO52 plan=ce:1@500",                           // missing config
+		"app=FLO52 config=8proc",                            // missing plan
+		"app=FLO52 config=8proc plan=bogus",                 // bad plan grammar
 		"app=FLO52 config=8proc plan=ce:1@500 expect=maybe", // bad expect
 		"app=FLO52 config=8proc plan=ce:1@500 steps=-1",     // negative steps
 		"app=FLO52 config=8proc plan=ce:1@500 color=red",    // unknown key

@@ -51,10 +51,10 @@ func FoldTrace(records []hpm.Record, names interface{ LoopName(int64) string }) 
 		rule int
 	}
 	open := map[openKey]hpm.Record{}
-	loopOpen := map[int64]hpm.Record{}    // machine loop window, by generation
-	partOpen := map[int]hpm.Record{}      // per-CE loop participation
-	ruleOf := map[hpm.EventID]int{}       // start event -> rule index
-	endOf := map[hpm.EventID]int{}        // end event -> rule index
+	loopOpen := map[int64]hpm.Record{} // machine loop window, by generation
+	partOpen := map[int]hpm.Record{}   // per-CE loop participation
+	ruleOf := map[hpm.EventID]int{}    // start event -> rule index
+	endOf := map[hpm.EventID]int{}     // end event -> rule index
 	for i, p := range tracePairs {
 		ruleOf[p.start] = i
 		endOf[p.end] = i

@@ -121,13 +121,18 @@ type Cache struct {
 	corrupt atomic.Uint64
 	writes  atomic.Uint64
 
+	// entries is the number of *.entry files, counted once by Open and
+	// kept current by this process's Put and corrupt-entry removal.
+	entries atomic.Int64
+
 	// mu serializes writers per process; cross-process safety comes
 	// from unique temp names + atomic rename.
 	mu sync.Mutex
 }
 
 // Open creates (if necessary) and opens a cache directory, sweeping
-// any *.tmp litter a crashed writer left behind.
+// any *.tmp litter a crashed writer left behind, and counts the
+// entries already present (see Len).
 func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
@@ -136,7 +141,10 @@ func Open(dir string) (*Cache, error) {
 	for _, t := range tmps {
 		os.Remove(t)
 	}
-	return &Cache{dir: dir}, nil
+	c := &Cache{dir: dir}
+	ents, _ := filepath.Glob(filepath.Join(dir, "*.entry"))
+	c.entries.Store(int64(len(ents)))
+	return c, nil
 }
 
 // Dir returns the cache's root directory.
@@ -186,8 +194,8 @@ func (c *Cache) Get(key Key) (payload []byte, ok bool) {
 		c.misses.Add(1)
 		c.mu.Lock()
 		if cur, rerr := os.ReadFile(c.path(key)); rerr == nil {
-			if _, derr := decode(cur, key); derr != nil {
-				os.Remove(c.path(key))
+			if _, derr := decode(cur, key); derr != nil && os.Remove(c.path(key)) == nil {
+				c.entries.Add(-1)
 			}
 		}
 		c.mu.Unlock()
@@ -268,6 +276,7 @@ func (c *Cache) Put(key Key, payload []byte) error {
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
+	_, statErr := os.Lstat(final)
 	if werr == nil {
 		werr = os.Rename(name, final)
 	}
@@ -282,15 +291,15 @@ func (c *Cache) Put(key Key, payload []byte) error {
 		d.Close()
 	}
 	c.writes.Add(1)
+	if os.IsNotExist(statErr) {
+		c.entries.Add(1)
+	}
 	return nil
 }
 
-// Len reports how many complete entries the cache directory holds
-// (diagnostic; walks the directory).
-func (c *Cache) Len() int {
-	ents, err := filepath.Glob(filepath.Join(c.dir, "*.entry"))
-	if err != nil {
-		return 0
-	}
-	return len(ents)
-}
+// Len reports how many complete entries the cache directory holds, in
+// O(1): Open counts the directory once, and this Cache's Put (when it
+// creates an entry rather than overwriting one) and corrupt-entry
+// removal keep the count current. Entries that another process writes
+// to or removes from a shared directory are counted at the next Open.
+func (c *Cache) Len() int { return int(c.entries.Load()) }

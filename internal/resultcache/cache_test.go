@@ -227,6 +227,50 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// TestLenCountsEntries pins Len's running count: a new key adds one,
+// an overwrite adds nothing, a detected-and-removed corrupt entry
+// subtracts one, and a reopen recounts the directory.
+func TestLenCountsEntries(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := Open(dir)
+	want := func(n int, when string) {
+		t.Helper()
+		if got := c.Len(); got != n {
+			t.Fatalf("%s: Len = %d, want %d", when, got, n)
+		}
+	}
+	want(0, "empty")
+	for i := int64(0); i < 3; i++ {
+		if err := c.Put(testKey(i), []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want(3, "after three new puts")
+	if err := c.Put(testKey(1), []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	want(3, "after an overwrite")
+	if err := os.WriteFile(entryFile0(dir, testKey(2)), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(testKey(2)); ok {
+		t.Fatal("corrupt entry served as a hit")
+	}
+	want(2, "after a corrupt removal")
+	if _, ok := c.Get(testKey(2)); ok {
+		t.Fatal("removed entry served as a hit")
+	}
+	want(2, "after a plain miss")
+	// Another writer's entry appears only at the next Open.
+	other, _ := Open(dir)
+	if err := other.Put(testKey(7), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	want(2, "before reopen")
+	c, _ = Open(dir)
+	want(3, "after reopen")
+}
+
 // TestMultiLinePlanRoundTrips is the regression test for multi-line
 // Plan fields (corpus scenario lists, bench scenario documents): the
 // raw document used to leak newlines into the entry's one-line key

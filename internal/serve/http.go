@@ -123,6 +123,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.met.submitted.Inc()
 			s.met.done.Inc()
 			job.Metrics = s.Metrics.Registry().Snapshot().Scalars()
+			s.retainLocked(job)
 			s.cond.Broadcast()
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, submitResponse{ID: job.ID, State: StateDone, CacheHit: true})

@@ -111,6 +111,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxTerminalJobs bounds how many terminal (done, failed, canceled)
+// job records the server keeps. Past it, the oldest terminal record is
+// evicted and its ID answers 404; queued and running jobs are never
+// evicted. Without the bound, live heap grows with every job served.
+const maxTerminalJobs = 1024
+
 // Server is the sweep service. Create with New, start workers with
 // Start, mount Handler on an http.Server, and call Drain on SIGTERM.
 type Server struct {
@@ -122,6 +128,9 @@ type Server struct {
 	cond sync.Cond // broadcast on any job change (progress streaming)
 	jobs map[string]*Job
 	seq  int
+	// terminal holds the IDs of the terminal jobs still in jobs, oldest
+	// first (see retainLocked).
+	terminal []string
 
 	running  atomic.Int64
 	draining atomic.Bool
@@ -239,12 +248,14 @@ func (s *Server) resume() error {
 			job.State = StateFailed
 			job.Error = fmt.Sprintf("resumed job no longer valid: %v", verr)
 			job.FinishedAt = time.Now()
+			s.retainLocked(job)
 		} else {
 			job.res = res
 			if !s.q.push(job) {
 				job.State = StateFailed
 				job.Error = "resumed queue exceeds the configured queue depth"
 				job.FinishedAt = time.Now()
+				s.retainLocked(job)
 			}
 		}
 		s.jobs[job.ID] = job
@@ -519,7 +530,19 @@ func (s *Server) finishLocked(job *Job, state, errMsg string) {
 		s.met.canceled.Inc()
 	}
 	job.Metrics = s.Metrics.Registry().Snapshot().Scalars()
+	s.retainLocked(job)
 	s.cond.Broadcast()
+}
+
+// retainLocked records that job has reached a terminal state and
+// evicts the oldest terminal records beyond maxTerminalJobs. Caller
+// holds s.mu (or owns the server exclusively, as resume does).
+func (s *Server) retainLocked(job *Job) {
+	s.terminal = append(s.terminal, job.ID)
+	if len(s.terminal) > maxTerminalJobs {
+		delete(s.jobs, s.terminal[0])
+		s.terminal = s.terminal[1:]
+	}
 }
 
 // attempt runs one try of the job: cache lookup, execution under the

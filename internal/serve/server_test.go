@@ -596,6 +596,95 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// statusOf returns the HTTP status of a GET.
+func statusOf(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// Terminal job records are retained FIFO up to maxTerminalJobs: the
+// oldest is evicted first and its ID answers 404, while queued and
+// running jobs survive however many jobs finish around them.
+func TestTerminalJobRetentionBound(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Workers = 1
+	cfg.CacheDir = t.TempDir()
+	gate := make(chan struct{})
+	s, ts := newTestServer(t, cfg, func(job *Job, attempt int) error {
+		if job.Spec.Seed == 1 {
+			<-gate
+		}
+		return nil
+	})
+	_, first, _ := submit(t, ts, smallSim)
+	waitState(t, ts, first.ID, StateDone)
+
+	blocking := smallSim
+	blocking.Seed = 1
+	blocking.NoCache = true
+	_, running, _ := submit(t, ts, blocking)
+	waitState(t, ts, running.ID, StateRunning)
+	queuedSpec := smallSim
+	queuedSpec.Seed = 2
+	queuedSpec.NoCache = true
+	_, queued, _ := submit(t, ts, queuedSpec)
+
+	// maxTerminalJobs cache hits on top of first: one record too many.
+	hits := make([]string, maxTerminalJobs+1)
+	for i := range hits[:maxTerminalJobs] {
+		status, sub, raw := submit(t, ts, smallSim)
+		if status != http.StatusOK || !sub.CacheHit {
+			t.Fatalf("hit %d: status %d: %s", i, status, raw)
+		}
+		hits[i] = sub.ID
+	}
+	gone := func(id string) {
+		t.Helper()
+		for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/result"} {
+			if got := statusOf(t, ts.URL+path); got != http.StatusNotFound {
+				t.Fatalf("GET %s = %d, want 404 after eviction", path, got)
+			}
+		}
+	}
+	kept := func(id, state string) {
+		t.Helper()
+		if v := getJob(t, ts, id); v.ID != id || v.State != state {
+			t.Fatalf("job %s: got %q in state %q, want state %q", id, v.ID, v.State, state)
+		}
+	}
+	gone(first.ID)
+	kept(hits[0], StateDone)
+	kept(running.ID, StateRunning)
+	kept(queued.ID, StateQueued)
+
+	_, last, _ := submit(t, ts, smallSim)
+	hits[maxTerminalJobs] = last.ID
+	gone(hits[0])
+	kept(hits[1], StateDone)
+	kept(last.ID, StateDone)
+	kept(running.ID, StateRunning)
+	kept(queued.ID, StateQueued)
+	s.mu.Lock()
+	n := len(s.jobs)
+	s.mu.Unlock()
+	if n != maxTerminalJobs+2 {
+		t.Fatalf("server holds %d job records, want %d terminal + 2 live", n, maxTerminalJobs)
+	}
+
+	// Once the live jobs finish they join the FIFO and evict in turn.
+	close(gate)
+	waitTerminal(t, ts, running.ID)
+	waitTerminal(t, ts, queued.ID)
+	gone(hits[1])
+	gone(hits[2])
+	kept(hits[3], StateDone)
+}
+
 // Service-level cache integrity: a corrupted entry is recomputed, not
 // served.
 func TestCorruptCacheEntryRecomputed(t *testing.T) {

@@ -24,6 +24,29 @@ func BenchmarkKernelScheduleHold(b *testing.B) {
 	k.Shutdown()
 }
 
+// BenchmarkProcSwitch measures one process switch: two processes
+// alternate through Hold, one cycle apart, so every op is one event
+// that switches from the kernel into a process and back. Steady state
+// is 0 allocs/op.
+func BenchmarkProcSwitch(b *testing.B) {
+	k := NewKernel(1)
+	for i := 0; i < 2; i++ {
+		offset := Duration(i)
+		k.Spawn("switch", func(p *Proc) {
+			p.Hold(offset)
+			for {
+				p.Hold(2)
+			}
+		})
+	}
+	k.Run(1024) // start both processes and warm the node pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(k.Now() + Time(b.N))
+	b.StopTimer()
+	k.Shutdown()
+}
+
 // BenchmarkKernelScheduleCancel measures the eager cancel path:
 // schedule a far-future event and remove it from the middle of a
 // populated heap. Also 0 allocs/op once the pool is warm.

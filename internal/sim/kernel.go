@@ -1,9 +1,13 @@
 // Package sim implements a deterministic discrete-event simulation
 // kernel in virtual time.
 //
-// The kernel drives coroutine processes (see Proc) one at a time, so a
-// simulation is fully deterministic even though each process runs on
-// its own goroutine: exactly one goroutine is ever runnable, and event
+// The kernel drives coroutine processes (see Proc) one at a time. Each
+// process body runs as an iter.Pull coroutine: dispatching a wake-up
+// switches directly into the body, and the body's Hold, Yield or block
+// switches directly back, with no channel operation and no trip
+// through the Go scheduler. A simulation is therefore fully
+// deterministic: exactly one of the kernel and its processes runs at a
+// time, control passes only at those explicit switch points, and event
 // ordering is total (time, then insertion sequence).
 //
 // Virtual time is counted in integer cycles (Time). The kernel makes
@@ -147,7 +151,6 @@ type Kernel struct {
 	calCursor Time
 
 	running *Proc
-	yielded chan struct{}
 	procs   []*Proc
 	live    int // procs spawned and not yet finished
 	fatal   error
@@ -170,10 +173,7 @@ type Kernel struct {
 // NewKernel returns a kernel with its virtual clock at zero and a
 // deterministic random source seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		yielded: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -639,7 +639,8 @@ func (k *Kernel) wake(p *Proc) {
 	k.scheduleProc(k.now, p)
 }
 
-// resume transfers control to p and waits for it to yield back.
+// resume switches to p's coroutine and returns when p yields back (or
+// its body ends).
 func (k *Kernel) resume(p *Proc) {
 	if p.state == stateDone {
 		return
@@ -648,8 +649,7 @@ func (k *Kernel) resume(p *Proc) {
 	prev := k.running
 	k.running = p
 	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-k.yielded
+	p.next()
 	k.running = prev
 }
 

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -207,6 +210,106 @@ func TestShutdownRunsDeferredCleanup(t *testing.T) {
 	if !cleaned {
 		t.Fatal("deferred cleanup did not run during Shutdown")
 	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to at
+// most want. Process coroutines end synchronously, so this only rides
+// out unrelated goroutines (test harness, finalizers) winding down.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d: a process leaked", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: Shutdown ends every process, whether
+// it is blocked, holding with a wake pending, or never started, and
+// takes its coroutine with it.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	c := NewCond(k, "never")
+	blocked := k.Spawn("blocked", func(p *Proc) { c.Wait(p) })
+	scheduled := k.Spawn("scheduled", func(p *Proc) { p.Hold(1000) })
+	k.Run(10)
+	started := false
+	fresh := k.Spawn("fresh", func(p *Proc) { started = true })
+	if got := runtime.NumGoroutine(); got != before+3 {
+		t.Fatalf("%d goroutines with 3 live processes, want %d", got, before+3)
+	}
+	k.Shutdown()
+	for _, p := range []*Proc{blocked, scheduled, fresh} {
+		if !p.Done() || !p.Aborted() {
+			t.Fatalf("%s: done=%v aborted=%v after Shutdown", p.Name(), p.Done(), p.Aborted())
+		}
+	}
+	if started {
+		t.Fatal("Shutdown ran the body of a never-started process")
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("live procs after Shutdown = %d, want 0", k.LiveProcs())
+	}
+	settleGoroutines(t, before)
+}
+
+// TestAbortBlockedLeavesNoGoroutine: an aborted process's coroutine
+// ends with it, while the run goes on.
+func TestAbortBlockedLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	gate := NewCond(k, "gate")
+	victim := k.Spawn("victim", func(p *Proc) { gate.Wait(p) })
+	k.Spawn("survivor", func(p *Proc) { p.Hold(20) })
+	k.Schedule(5, func() { k.Abort(victim) })
+	k.Run(10)
+	if !victim.Done() {
+		t.Fatal("victim not done after Abort")
+	}
+	if got := runtime.NumGoroutine(); got != before+1 {
+		t.Fatalf("%d goroutines with 1 live process, want %d", got, before+1)
+	}
+	if _, err := k.RunAllErr(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, before)
+}
+
+// TestProcPanicSurfacesAsRunErr: a panicking body becomes RunErr's
+// error and does not re-panic through the switch back to the kernel;
+// the other processes stay reclaimable.
+func TestProcPanicSurfacesAsRunErr(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	bomb := k.Spawn("bomb", func(p *Proc) {
+		p.Hold(5)
+		panic("kaboom")
+	})
+	k.Spawn("bystander", func(p *Proc) {
+		for {
+			p.Hold(1)
+		}
+	})
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("RunErr re-panicked: %v", r)
+			}
+		}()
+		_, err = k.RunErr(Forever)
+	}()
+	if err == nil || !strings.Contains(err.Error(), `process "bomb" panicked: kaboom`) {
+		t.Fatalf("RunErr error = %v, want the bomb's panic", err)
+	}
+	if !bomb.Done() || k.Now() != 5 {
+		t.Fatalf("bomb done=%v, stopped at %d; want true at 5", bomb.Done(), k.Now())
+	}
+	k.Shutdown()
+	settleGoroutines(t, before)
 }
 
 func TestDeterminism(t *testing.T) {

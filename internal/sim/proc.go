@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // ErrAborted is the panic value delivered inside a process when the
@@ -28,9 +29,13 @@ type Proc struct {
 	k       *Kernel
 	id      int
 	name    string
-	resume  chan struct{}
 	state   procState
 	aborted bool
+
+	// next resumes the body's coroutine until its next yield (or its
+	// end); yieldTo, set once the body starts, suspends it again.
+	next    func() (struct{}, bool)
+	yieldTo func(struct{}) bool
 
 	// waitingOn names the primitive the process is currently blocked
 	// in, for deadlock diagnostics.
@@ -45,16 +50,17 @@ type Proc struct {
 // current virtual time. The name is used in diagnostics only.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		k:      k,
-		id:     len(k.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
+		k:     k,
+		id:    len(k.procs),
+		name:  name,
+		state: stateNew,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		<-p.resume
+	// The wrapper recovers every panic, so a failing body becomes
+	// k.fatal instead of re-panicking through the kernel's p.next().
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldTo = yield
 		defer func() {
 			r := recover()
 			p.state = stateDone
@@ -62,13 +68,12 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			if r != nil && r != ErrAborted && k.fatal == nil {
 				k.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 			}
-			k.yielded <- struct{}{}
 		}()
 		if p.aborted {
 			panic(ErrAborted)
 		}
 		fn(p)
-	}()
+	})
 	p.state = stateScheduled
 	k.scheduleProc(k.now, p)
 	k.armWatchdog()
@@ -170,10 +175,7 @@ func (p *Proc) block() {
 // On resume after an abort, it panics with ErrAborted so that the
 // process unwinds through whatever primitive it was sleeping in.
 func (p *Proc) yield() {
-	k := p.k
-	k.yielded <- struct{}{}
-	<-p.resume
-	if p.aborted {
+	if !p.yieldTo(struct{}{}) || p.aborted {
 		panic(ErrAborted)
 	}
 }

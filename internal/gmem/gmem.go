@@ -13,6 +13,17 @@
 // module delay the second — the paper's 1-processor example) and
 // cross-CE contention both emerge from per-module calendar
 // reservations.
+//
+// Reservation order: a calendar reservation depends only on that
+// calendar's earlier reservations and on its own request time, so an
+// access must keep the order of reservations on each calendar — groups
+// ascending, and a group's slices ascending in vector order — while
+// reservations on different calendars may be made in any order. With
+// no module offline, Access relies on this to book a vector as
+// contiguous module runs, one run reservation per network stage and
+// one on the modules, instead of one slice at a time. An offline module
+// breaks the runs, and Access then takes the per-slice counting-sort
+// walk; both walks give identical results.
 package gmem
 
 import (
@@ -36,10 +47,13 @@ type Memory struct {
 	// Scratch buffers reused across Access calls to keep the hot path
 	// allocation-free. A Memory belongs to exactly one kernel and the
 	// simulation of one machine is single-threaded, so plain reuse is
-	// safe. scrMod/scrW/scrGroup describe each touched slice of the
-	// current vector; order lists slice indices bucketed by group
-	// (ascending index within each group); grpWords/grpCount/grpOff are
-	// per-group accumulators for the counting sort.
+	// safe. arrive holds a module run's input arrival times for the
+	// run-batched walk. The rest serve the counting-sort walk:
+	// scrMod/scrW/scrGroup describe each touched slice of the current
+	// vector; order lists slice indices bucketed by group (ascending
+	// index within each group); grpWords/grpCount/grpOff are per-group
+	// accumulators.
+	arrive   []sim.Time
 	scrMod   []int
 	scrW     []int
 	scrGroup []int
@@ -76,8 +90,10 @@ func New(cfg arch.Config, cost arch.CostModel) *Memory {
 		net:     network.NewPair(cfg, cost),
 		modules: sim.NewCalendarStore(cfg.GMModules),
 	}
-	// A vector touches at most GMModules slices and Groups() groups, so
-	// the scratch buffers are sized once here and never grow.
+	// A vector touches at most GMModules slices and Groups() groups,
+	// and a module run stays inside one group, so the scratch buffers
+	// are sized once here and never grow.
+	m.arrive = make([]sim.Time, cfg.GroupSpan())
 	m.scrMod = make([]int, cfg.GMModules)
 	m.scrW = make([]int, cfg.GMModules)
 	m.scrGroup = make([]int, cfg.GMModules)
@@ -182,6 +198,14 @@ func (m *Memory) Module(addr int64) int {
 // time and charge the stall to its account; Memory itself never
 // blocks.
 func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done sim.Time, queued sim.Duration) {
+	return m.access(at, ce, addr, words, m.nOffline > 0)
+}
+
+// access is Access with the walk chosen by the caller: the counting
+// sort when sorted is set, the run-batched walk otherwise. Only an
+// offline module needs the sort; tests force it on a healthy machine
+// to check the batched walk against it.
+func (m *Memory) access(at sim.Time, ce arch.CEID, addr int64, words int, sorted bool) (done sim.Time, queued sim.Duration) {
 	if words < 1 {
 		words = 1
 	}
@@ -194,6 +218,143 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 	// output port) that owns them: each group's slice of the vector is
 	// an independent burst through its own ports.
 	firstModule := m.Module(addr)
+	inject := at + sim.Duration(m.cost.GIFLatency)
+	var lastReady sim.Time
+	if sorted {
+		lastReady = m.walkSorted(ce, firstModule, words, inject)
+	} else {
+		lastReady = m.walkRuns(ce, firstModule, words, inject)
+	}
+
+	// Final return stage: every reply word funnels through the CE's own
+	// data link.
+	back, _ := m.net.Return.Port(m.cfg.NetStages-1, m.net.RetCEPort(ce), lastReady, words)
+	done = back + sim.Duration(m.cost.GIFLatency)
+
+	// Per-component queue delays (ports and modules) overlap in time
+	// across the fanned-out slices, so their sum overstates the damage;
+	// the access's contention is its critical-path excess over the
+	// uncontended latency. The calendars keep the per-component sums.
+	queued = done - at - m.IdealLatency(words)
+	if queued < 0 {
+		queued = 0
+	}
+	if m.rec != nil && queued >= m.rec.SlowStall() {
+		m.rec.Instant(obs.TrackMachine, "gm-hot", obs.CatMem, at, int64(firstModule))
+	}
+	m.stallTotal += done - at
+	m.idealTotal += done - at - queued
+	return done, queued
+}
+
+// walkRuns reserves a vector's group bursts, subtree ports and modules
+// on a machine with no offline module, and returns the time the last
+// group's reply has cleared the return stages before the CE's link.
+//
+// Slice i of the vector (0 <= i < touched) goes to module first+i,
+// wrapping past the last module, and carries perModule words plus one
+// more when i < extra. So the touched modules are one contiguous range
+// that may wrap: inside a group they are at most two module runs, the
+// main run from first and then the wrapped tail from module 0, and
+// each run splits at most once where i reaches extra. Each uniform run
+// is booked with one run reservation per stage and one on the modules.
+// Walking groups ascending and the runs of a group in slice order keeps
+// every calendar's reservation order that of the per-slice walk, so the
+// result is exactly walkSorted's.
+func (m *Memory) walkRuns(ce arch.CEID, first, words int, inject sim.Time) (lastReady sim.Time) {
+	nMod := m.cfg.GMModules
+	touched := words
+	if touched > nMod {
+		touched = nMod
+	}
+	perModule := words / touched
+	extra := words % touched
+	// Main run: modules first..mainEnd-1 hold slices 0..mainEnd-first-1.
+	// Wrapped tail: modules 0..wrapEnd-1 hold the remaining slices.
+	mainEnd := first + touched
+	wrapEnd := 0
+	if mainEnd > nMod {
+		wrapEnd = mainEnd - nMod
+		mainEnd = nMod
+	}
+	// Modules below these bounds carry the extra word (slice i < extra).
+	mainSplit := first + extra
+	wrapSplit := first + extra - nMod
+	span := m.cfg.GroupSpan()
+	for g, glo := 0, 0; glo < nMod; g, glo = g+1, glo+span {
+		ghi := glo + span
+		mlo, mhi := max(glo, first), min(ghi, mainEnd)
+		whi := min(ghi, wrapEnd)
+		if mlo >= mhi && glo >= whi {
+			continue
+		}
+		groupWords := 0
+		if mlo < mhi {
+			groupWords += (mhi-mlo)*perModule + max(0, min(mhi, mainSplit)-mlo)
+		}
+		if glo < whi {
+			groupWords += (whi-glo)*perModule + max(0, min(whi, wrapSplit)-glo)
+		}
+		// Forward stage 0: the cluster's port toward group g's subtree.
+		a0, _ := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, groupWords)
+		var groupReady sim.Time
+		if mlo < mhi {
+			groupReady = max(groupReady, m.bookRuns(mlo, mhi, mainSplit, a0, perModule))
+		}
+		if glo < whi {
+			groupReady = max(groupReady, m.bookRuns(glo, whi, wrapSplit, a0, perModule))
+		}
+		// Return stages 0..k-2: the group's switch back toward the
+		// cluster, then the cluster's subtree, as one batched walk.
+		rIn, _ := m.net.ReserveRetGroup(g, ce, groupReady, groupWords)
+		lastReady = max(lastReady, rIn)
+	}
+	return lastReady
+}
+
+// bookRuns books modules lo..hi-1, all reached from stage 0 at a0: those
+// below split carry perModule+1 words, the rest perModule. It returns
+// the latest module completion.
+func (m *Memory) bookRuns(lo, hi, split int, a0 sim.Time, perModule int) sim.Time {
+	split = min(max(split, lo), hi)
+	var ready sim.Time
+	if lo < split {
+		ready = m.bookRun(lo, split-lo, a0, perModule+1)
+	}
+	if split < hi {
+		ready = max(ready, m.bookRun(split, hi-split, a0, perModule))
+	}
+	return ready
+}
+
+// bookRun carries a w-word slice to each of the n modules from lo
+// through the forward subtree and books the modules at their arrival
+// times, per module when a module's service time is inflated. It
+// returns the latest module completion.
+func (m *Memory) bookRun(lo, n int, a0 sim.Time, w int) sim.Time {
+	arrive := m.arrive[:n]
+	m.net.ReserveFwdSubtreeRun(lo, a0, w, arrive)
+	if m.inflate == nil {
+		last, _ := m.modules.ReserveRun(lo, arrive, m.moduleBusy(lo, w, false))
+		return last
+	}
+	var last sim.Time
+	for j, aIn := range arrive {
+		_, end := m.modules.Reserve(lo+j, aIn, m.moduleBusy(lo+j, w, false))
+		last = max(last, end)
+	}
+	return last
+}
+
+// walkSorted is the general walk, needed when a module is offline: a
+// redirected slice travels to, and groups with, its fallback module,
+// so a group's modules need not be contiguous and one module may serve
+// two slices. One pass over the touched slices classifies each by its
+// serving module and top-level group, then a counting sort buckets
+// slice indices by group. The per-group walk then visits exactly the
+// members of each group in the reservation order: groups ascending,
+// slices ascending within each group. It returns what walkRuns does.
+func (m *Memory) walkSorted(ce arch.CEID, firstModule, words int, inject sim.Time) (lastReady sim.Time) {
 	touched := words
 	if touched > m.cfg.GMModules {
 		touched = m.cfg.GMModules
@@ -203,18 +364,6 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 	groupSpan := m.cfg.GroupSpan()
 	nGroups := m.cfg.Groups()
 
-	inject := at + sim.Duration(m.cost.GIFLatency)
-	var qNet, qMod sim.Duration
-	var lastReady sim.Time
-
-	// One pass over the touched slices classifies each by its serving
-	// module and top-level group (slices whose home module is offline
-	// travel to, and group with, the fallback module instead), then a
-	// counting sort buckets slice indices by group. The per-group walk
-	// below then visits exactly the members of each group — replacing
-	// the former groups x slices rescan, which dominated big-machine
-	// profiles — while preserving the identical reservation order:
-	// groups ascending, slices ascending within each group.
 	for g := 0; g < nGroups; g++ {
 		m.grpWords[g] = 0
 		m.grpCount[g] = 0
@@ -258,8 +407,7 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 		}
 		groupWords := m.grpWords[g]
 		// Forward stage 0: the cluster's port toward group g's subtree.
-		a0, q0 := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, groupWords)
-		qNet += q0
+		a0, _ := m.net.Forward.Port(0, m.net.FwdStage0Port(ce, g), inject, groupWords)
 		// Forward stages 1..k-1 and the modules themselves, per module,
 		// each subtree traversed as one batched walk.
 		var groupReady sim.Time
@@ -275,45 +423,16 @@ func (m *Memory) Access(at sim.Time, ce arch.CEID, addr int64, words int) (done 
 			if mod != home {
 				m.remapped++
 			}
-			aIn, q := m.net.ReserveFwdSubtree(mod, a0, w)
-			qNet += q
-			busy := m.moduleBusy(mod, w, mod != home)
-			start, end := m.modules.Reserve(mod, aIn, busy)
-			qMod += start - aIn
-			if end > groupReady {
-				groupReady = end
-			}
+			aIn, _ := m.net.ReserveFwdSubtree(mod, a0, w)
+			_, end := m.modules.Reserve(mod, aIn, m.moduleBusy(mod, w, mod != home))
+			groupReady = max(groupReady, end)
 		}
 		// Return stages 0..k-2: the group's switch back toward the
 		// cluster, then the cluster's subtree, as one batched walk.
-		rIn, qr := m.net.ReserveRetGroup(g, ce, groupReady, groupWords)
-		qNet += qr
-		if rIn > lastReady {
-			lastReady = rIn
-		}
+		rIn, _ := m.net.ReserveRetGroup(g, ce, groupReady, groupWords)
+		lastReady = max(lastReady, rIn)
 	}
-
-	// Final return stage: every reply word funnels through the CE's own
-	// data link.
-	back, qr1 := m.net.Return.Port(m.cfg.NetStages-1, m.net.RetCEPort(ce), lastReady, words)
-	qNet += qr1
-	done = back + sim.Duration(m.cost.GIFLatency)
-
-	// Per-component queue delays (qNet, qMod) overlap in time across
-	// the fanned-out slices, so their sum overstates the damage; the
-	// access's contention is its critical-path excess over the
-	// uncontended latency.
-	_ = qMod
-	queued = done - at - m.IdealLatency(words)
-	if queued < 0 {
-		queued = 0
-	}
-	if m.rec != nil && queued >= m.rec.SlowStall() {
-		m.rec.Instant(obs.TrackMachine, "gm-hot", obs.CatMem, at, int64(firstModule))
-	}
-	m.stallTotal += done - at
-	m.idealTotal += done - at - queued
-	return done, queued
+	return lastReady
 }
 
 // ModuleBacklog returns the deepest module queue at time now: the

@@ -90,24 +90,35 @@ func TestContentionGrowsWithCompetitors(t *testing.T) {
 	}
 }
 
+// invariantConfigs covers the paper's Cedar, a wide two-stage machine,
+// and both three-stage members, where several modules share one
+// stage-1 port.
+var invariantConfigs = []arch.Config{arch.Cedar32, arch.Scaled256, arch.Deep64, arch.Scaled1024}
+
 func TestStatsConsistency(t *testing.T) {
-	m := mem()
-	cfg := arch.Cedar32
-	for g := 0; g < 32; g++ {
-		m.Access(0, cfg.CEByGlobal(g), 0, 16) // all hit modules 0..15: contention
-	}
-	st := m.Stats()
-	if st.Accesses != 32 || st.Words != 32*16 {
-		t.Fatalf("accesses=%d words=%d", st.Accesses, st.Words)
-	}
-	if st.StallTotal < st.IdealTotal {
-		t.Fatal("stall < ideal")
-	}
-	// Component delays overlap, so their sum bounds the critical-path
-	// excess from above.
-	if got := st.StallTotal - st.IdealTotal; got > st.ModuleDelay+st.NetworkDelay {
-		t.Fatalf("critical-path excess %d exceeds component sum %d",
-			got, st.ModuleDelay+st.NetworkDelay)
+	for _, cfg := range invariantConfigs {
+		// From module 0 every CE hits modules 0..15; from the last eight
+		// modules the same vector wraps onto modules 0..7.
+		for _, addr := range []int64{0, int64(cfg.GMModules - 8)} {
+			m := New(cfg, arch.DefaultCosts())
+			n := cfg.CEs()
+			for g := 0; g < n; g++ {
+				m.Access(0, cfg.CEByGlobal(g), addr, 16) // contention
+			}
+			st := m.Stats()
+			if st.Accesses != uint64(n) || st.Words != uint64(n*16) {
+				t.Fatalf("%s addr %d: accesses=%d words=%d", cfg.Name, addr, st.Accesses, st.Words)
+			}
+			if st.StallTotal < st.IdealTotal {
+				t.Fatalf("%s addr %d: stall < ideal", cfg.Name, addr)
+			}
+			// Component delays overlap, so their sum bounds the
+			// critical-path excess from above.
+			if got := st.StallTotal - st.IdealTotal; got > st.ModuleDelay+st.NetworkDelay {
+				t.Fatalf("%s addr %d: critical-path excess %d exceeds component sum %d",
+					cfg.Name, addr, got, st.ModuleDelay+st.NetworkDelay)
+			}
+		}
 	}
 }
 
@@ -127,31 +138,33 @@ func TestQuickAccessNeverFasterThanIdeal(t *testing.T) {
 	// Invariants under arbitrary traffic: queueing is never negative,
 	// and an access can never complete faster than streaming its words
 	// through the CE's return link plus the fixed path latencies.
+	// Vectors reach twice the module count, so they also wrap.
 	cost := arch.DefaultCosts()
-	f := func(ops []struct {
-		CE    uint8
-		Addr  uint16
-		Words uint8
-	}) bool {
-		m := mem()
-		cfg := arch.Cedar32
-		at := sim.Time(0)
-		for _, op := range ops {
-			w := int(op.Words%64) + 1
-			ce := cfg.CEByGlobal(int(op.CE) % 32)
-			done, queued := m.Access(at, ce, int64(op.Addr), w)
-			if queued < 0 {
-				return false
+	for _, cfg := range invariantConfigs {
+		f := func(ops []struct {
+			CE    uint16
+			Addr  uint16
+			Words uint16
+		}) bool {
+			m := New(cfg, cost)
+			at := sim.Time(0)
+			for _, op := range ops {
+				w := int(op.Words)%(2*cfg.GMModules) + 1
+				ce := cfg.CEByGlobal(int(op.CE) % cfg.CEs())
+				done, queued := m.Access(at, ce, int64(op.Addr), w)
+				if queued < 0 {
+					return false
+				}
+				floor := sim.Duration(int64(w)*cost.PortCyclesPerWord) + m.IdealLatency(1)/2
+				if done-at < floor {
+					return false
+				}
+				at += 3
 			}
-			floor := sim.Duration(int64(w)*cost.PortCyclesPerWord) + m.IdealLatency(1)/2
-			if done-at < floor {
-				return false
-			}
-			at += 3
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
 	}
 }

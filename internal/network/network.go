@@ -27,6 +27,14 @@
 // contention" overhead, and hot spots (many CEs targeting one module,
 // e.g. a busy-wait barrier through global memory) emerge as deep port
 // and module queues.
+//
+// Reservation order: a port's reservation depends only on that port's
+// earlier reservations and on its own request time. A walk may
+// therefore reorder reservations across ports but must keep each
+// port's order. ReserveFwdSubtreeRun uses this to walk a run of
+// modules stage by stage; on three or more stages several modules
+// share one intermediate port, and it still sees them in ascending
+// module order.
 package network
 
 import (
@@ -285,6 +293,46 @@ func (p *Pair) ReserveFwdSubtree(module int, at sim.Time, words int) (arrive sim
 		t = end + sim.Duration(n.cost.StageLatency)
 	}
 	return t, queued
+}
+
+// ReserveFwdSubtreeRun carries one words-long slice to each module of
+// the run lo..lo+len(arrive)-1, all leaving stage 0 at at, through
+// forward stages 1..k-1: the run form of calling ReserveFwdSubtree for
+// each module in ascending order. It writes each module's input
+// arrival time into arrive and returns the summed queueing delay.
+//
+// The walk goes stage by stage rather than module by module, which the
+// package's reservation-order rule allows. On a healthy last stage,
+// where each module has its own port, the run is one contiguous
+// calendar run.
+func (p *Pair) ReserveFwdSubtreeRun(lo int, at sim.Time, words int, arrive []sim.Time) (queued sim.Duration) {
+	n := p.Forward
+	if words < 1 {
+		words = 1
+	}
+	lat := sim.Duration(n.cost.StageLatency)
+	for j := range arrive {
+		arrive[j] = at
+	}
+	for s := 1; s < n.cfg.NetStages; s++ {
+		div := n.stageDivs[s]
+		base := s * n.width
+		if div == 1 && n.degrade == nil {
+			_, d := n.store.ReserveRun(base+lo, arrive, n.portBusy(s, lo, words))
+			queued += d
+		} else {
+			for j, t := range arrive {
+				port := (lo + j) / div
+				start, end := n.store.Reserve(base+port, t, n.portBusy(s, port, words))
+				queued += start - t
+				arrive[j] = end
+			}
+		}
+		for j := range arrive {
+			arrive[j] += lat
+		}
+	}
+	return queued
 }
 
 // ReserveRetGroup carries a group's reply burst through return stages

@@ -304,3 +304,44 @@ func TestQuickTransitMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFwdSubtreeRunMatchesPerModule checks the run form against one
+// ReserveFwdSubtree per module in ascending order, on two- and
+// three-stage networks (where modules share a stage-1 port), healthy
+// and with a degraded stage-1 port.
+func TestFwdSubtreeRunMatchesPerModule(t *testing.T) {
+	for _, cfg := range []arch.Config{arch.Cedar32, arch.Scaled256, arch.Deep64, arch.Scaled1024} {
+		for _, degraded := range []bool{false, true} {
+			run, ref := NewPair(cfg, arch.DefaultCosts()), NewPair(cfg, arch.DefaultCosts())
+			if degraded {
+				run.Forward.DegradePort(1, 1, 2.5)
+				ref.Forward.DegradePort(1, 1, 2.5)
+			}
+			rnd := rand.New(rand.NewSource(7))
+			arrive := make([]sim.Time, cfg.GroupSpan())
+			var at sim.Time
+			for op := 0; op < 300; op++ {
+				at += sim.Time(rnd.Intn(6))
+				n := 1 + rnd.Intn(cfg.GroupSpan())
+				lo := rnd.Intn(cfg.GMModules - n + 1)
+				words := 1 + rnd.Intn(8)
+				q := run.ReserveFwdSubtreeRun(lo, at, words, arrive[:n])
+				var refQ sim.Duration
+				for j := 0; j < n; j++ {
+					a, dq := ref.ReserveFwdSubtree(lo+j, at, words)
+					refQ += dq
+					if a != arrive[j] {
+						t.Fatalf("%s degraded=%v op %d module %d: run arrival %d, per-module %d",
+							cfg.Name, degraded, op, lo+j, arrive[j], a)
+					}
+				}
+				if q != refQ {
+					t.Fatalf("%s degraded=%v op %d: run queued %d, per-module %d", cfg.Name, degraded, op, q, refQ)
+				}
+			}
+			if run.Stats() != ref.Stats() {
+				t.Fatalf("%s degraded=%v: stats %+v, per-module %+v", cfg.Name, degraded, run.Stats(), ref.Stats())
+			}
+		}
+	}
+}

@@ -125,6 +125,42 @@ func (s *CalendarStore) Reserve(i int, at Time, busy Duration) (start, end Time)
 	return start, end
 }
 
+// ReserveRun books the run of entries lo..lo+len(t)-1, entry lo+j for
+// busy cycles at the earliest time not before t[j], and overwrites t[j]
+// with that entry's granted end. It returns the latest end and the
+// summed queueing delay. The result is exactly that of len(t) Reserve
+// calls in index order; the run form only drops the per-entry call and
+// bounds checks.
+func (s *CalendarStore) ReserveRun(lo int, t []Time, busy Duration) (last Time, delay Duration) {
+	if busy < 0 {
+		panic(fmt.Sprintf("sim: calendar store run at %d negative busy %d", lo, busy))
+	}
+	n := len(t)
+	free := s.freeAt[lo : lo+n]
+	res := s.reservations[lo : lo+n]
+	bt := s.busyTotal[lo : lo+n]
+	dt := s.delayTotal[lo : lo+n]
+	dl := s.delayed[lo : lo+n]
+	for j, at := range t {
+		start := at
+		if f := free[j]; f > start {
+			start = f
+			dl[j]++
+		}
+		end := start + busy
+		free[j] = end
+		t[j] = end
+		res[j]++
+		bt[j] += busy
+		dt[j] += start - at
+		delay += start - at
+		if end > last {
+			last = end
+		}
+	}
+	return last, delay
+}
+
 // FreeAt returns the time resource i next becomes free.
 func (s *CalendarStore) FreeAt(i int) Time { return s.freeAt[i] }
 

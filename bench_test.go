@@ -149,9 +149,9 @@ func BenchmarkPaperSweep(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ss := AllSweeps(Options{Parallel: workers})
+				ss := Sweeps(perfect.Apps(), Options{Parallel: workers})
 				if len(ss) != len(perfect.Apps()) {
-					b.Fatalf("AllSweeps returned %d sweeps", len(ss))
+					b.Fatalf("Sweeps returned %d sweeps", len(ss))
 				}
 			}
 		})

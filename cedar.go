@@ -82,16 +82,15 @@ type Options struct {
 	// zero-cost path). The zero obs.Options value gives defaults.
 	Observe *obs.Options
 	// Parallel bounds how many independent simulations the batch
-	// helpers (Sweep, SweepConfigs, Sweeps, AllSweeps, FaultSweep,
-	// CheckCorpus) run concurrently. Zero uses GOMAXPROCS; 1 forces
-	// the sequential path. Parallelism is wall-clock only: every
+	// helpers (Sweep, Sweeps, FaultSweep) run concurrently. Zero uses
+	// GOMAXPROCS; 1 forces the sequential path. Parallelism is wall-clock only: every
 	// simulation owns its kernel and deterministic seed, and results
 	// are assembled in input order, so batch output is byte-identical
 	// at any setting (see internal/engine).
 	Parallel int
 
-	// cancelFrom is the context the ctx-aware entry points
-	// (SimulateRunCtx and friends) thread into the kernel's interrupt
+	// cancelFrom is the context the ctx-aware entry point
+	// (SimulateRunCtx) threads into the kernel's interrupt
 	// check. Unexported: plain Simulate paths never pay for it.
 	cancelFrom context.Context
 }
@@ -100,7 +99,10 @@ type Options struct {
 // Options.WatchdogInterval is zero.
 const defaultWatchdog = 10_000_000
 
-func (o Options) seed(app perfect.App, cfg arch.Config) int64 {
+// KernelSeed returns the seed a run of app on cfg under these options
+// starts its kernel with: Seed when set, otherwise a value derived
+// from the app and configuration names.
+func (o Options) KernelSeed(app perfect.App, cfg arch.Config) int64 {
 	if o.Seed != 0 {
 		return o.Seed
 	}
@@ -184,7 +186,7 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 		costs = *opts.Costs
 	}
 
-	k := sim.NewKernel(opts.seed(app, cfg))
+	k := sim.NewKernel(opts.KernelSeed(app, cfg))
 	if opts.MaxCycles > 0 {
 		k.SetMaxCycles(opts.MaxCycles)
 	}
@@ -394,25 +396,7 @@ func (r *Run) TraceBundle() *obs.Bundle {
 // Scale 1). The configurations run concurrently per Options.Parallel;
 // every result is identical to a sequential run's.
 func Sweep(app perfect.App, opts Options) *core.Sweep {
-	return SweepConfigs(app, arch.PaperConfigs(), opts)
-}
-
-// SweepConfigs runs the app across an arbitrary list of configurations
-// (e.g. arch.ScaledConfigs(), or paper plus scaled machines for a
-// scaling study), keyed by CE count like Sweep. When the list includes
-// a 1-processor configuration and the app has a published CT1 the same
-// paper normalization applies; otherwise seconds are raw model output
-// (Scale 1). Configurations run concurrently per Options.Parallel.
-func SweepConfigs(app perfect.App, cfgs []arch.Config, opts Options) *core.Sweep {
-	s := &core.Sweep{App: app.Name, Results: map[int]*core.Result{}}
-	results := engine.Map(opts.Parallel, cfgs, func(_ int, cfg arch.Config) *core.Result {
-		return Simulate(app, cfg, opts)
-	})
-	for i, cfg := range cfgs {
-		s.Results[cfg.CEs()] = results[i]
-	}
-	normalize(s)
-	return s
+	return Sweeps([]perfect.App{app}, opts)[0]
 }
 
 // Sweeps runs several applications' paper sweeps through one worker
@@ -522,10 +506,4 @@ func FaultSweep(app perfect.App, cfg arch.Config, plans []faults.Plan, opts Opti
 		return fr
 	})
 	return out, nil
-}
-
-// AllSweeps runs every paper application across every configuration,
-// flattening the grid through one worker pool (see Sweeps).
-func AllSweeps(opts Options) []*core.Sweep {
-	return Sweeps(perfect.Apps(), opts)
 }

@@ -4,8 +4,8 @@
 // then sweeps randomized fail-stop schedules across the page-fault
 // windows of a healthy run — the schedule family that exposed the
 // fail-stop page-fault deadlock. Any scenario that errors is
-// delta-debugged down to a minimal reproduction and printed as a
-// ready-to-paste corpus line.
+// delta-debugged down to a minimal reproduction and printed as its
+// scenario line and as a ready-to-commit corpus document.
 //
 // Usage:
 //
@@ -42,16 +42,21 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/faults/replay"
+	"repro/internal/obs"
 	"repro/internal/perfect"
+	"repro/internal/scenario"
 )
 
 func fatalf(code int, format string, args ...any) {
@@ -60,7 +65,7 @@ func fatalf(code int, format string, args ...any) {
 }
 
 func main() {
-	corpusDir := flag.String("corpus", "testdata/faultcorpus", "regression corpus directory (*.scenario files)")
+	corpusDir := flag.String("corpus", "testdata/faultcorpus", "regression corpus directory (*.scenario documents)")
 	quick := flag.Bool("quick", false, "also run the bounded randomized sweep (fault schedules, or generator samples with -apps)")
 	n := flag.Int("n", 25, "sweep: number of randomized scenarios (or generator samples)")
 	seed := flag.Int64("seed", 0, "sweep: RNG seed (0 = wall clock; the used seed is always printed)")
@@ -95,43 +100,39 @@ func main() {
 }
 
 // replayCorpus replays every checked-in scenario twice: the outcome
-// must match the entry's expectation and the two runs must produce
-// byte-identical statfx output (the record/replay contract). Entries
+// must match the scenario's expectation and the two runs must produce
+// byte-identical statfx output (the record/replay contract). Scenarios
 // run concurrently through the engine pool; results print in corpus
 // order.
 func replayCorpus(dir string, parallel int) (failures int) {
-	entries, err := replay.LoadCorpus(dir)
+	scs, err := scenario.LoadDir(dir)
 	if err != nil {
 		fatalf(2, "%v", err)
 	}
-	if len(entries) == 0 {
-		fmt.Printf("corpus %s: empty\n", dir)
-		return 0
-	}
-	for _, cr := range cedar.CheckCorpus(entries, parallel) {
-		if cr.Err != nil {
+	for _, r := range scenario.Replay(scs, parallel) {
+		if r.Err != nil {
 			failures++
-			fmt.Fprintf(os.Stderr, "cedarfuzz: %s:%d: %v\n", cr.Entry.File, cr.Entry.Line, cr.Err)
+			fmt.Fprintf(os.Stderr, "cedarfuzz: %s: %v\n", r.Scenario.File, r.Err)
 			continue
 		}
-		fmt.Printf("corpus %s:%d: %s ok\n", cr.Entry.File, cr.Entry.Line, cr.Entry.Scenario.Expectation())
+		fmt.Printf("corpus %s: %s ok\n", r.Scenario.File, r.Scenario.Expectation())
 	}
-	fmt.Printf("corpus %s: %d scenario(s), %d failure(s)\n", dir, len(entries), failures)
+	fmt.Printf("corpus %s: %d scenario(s), %d failure(s)\n", dir, len(scs), failures)
 	return failures
 }
 
 // sweep fuzzes fail-stop schedules across the page-fault windows of a
 // healthy run. Failing scenarios are shrunk and printed as corpus
-// lines. Scenarios (including any shrinking, which is per-scenario
+// documents. Scenarios (including any shrinking, which is per-scenario
 // deterministic) run concurrently; results print in schedule order.
 func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, parallel int) (failures int) {
-	app, ok := perfect.ByName(appName)
-	if !ok {
-		fatalf(2, "unknown application %q", appName)
-	}
 	cfg, ok := arch.FamilyByName(configName)
 	if !ok {
 		fatalf(2, "unknown configuration %q", configName)
+	}
+	base, err := scenario.FromRun("sweep", appName, cfg, cedar.Options{Steps: steps}, scenario.ExpectOK)
+	if err != nil {
+		fatalf(2, "%v", err)
 	}
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -139,8 +140,11 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 	fmt.Printf("sweep: %s on %s, %d scenario(s), seed %d (reproduce with -seed %d)\n",
 		appName, cfg.Name, n, seed, seed)
 
-	opts := cedar.Options{Steps: steps}
-	windows, err := cedar.FaultWindows(app, cfg, opts)
+	app, _, err := base.Resolve()
+	if err != nil {
+		fatalf(1, "%v", err)
+	}
+	windows, err := faultWindows(app, cfg, base.Options())
 	if err != nil {
 		fatalf(1, "healthy window-discovery run failed: %v", err)
 	}
@@ -157,24 +161,24 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 	for ce := 1; ce < cfg.CEs(); ce++ {
 		ces = append(ces, ce)
 	}
-	base := cedar.RecordScenario(app, cfg, opts)
-	scenarios := replay.SweepTimes(base, windows, ces, cfg.GMModules, seed, n)
-	for _, sc := range scenarios {
-		if err := sc.Plan.Validate(cfg); err != nil {
+	plans := replay.SweepTimes(base.Plan, windows, ces, cfg.GMModules, seed, n)
+	scs := make([]*scenario.Scenario, len(plans))
+	for i, plan := range plans {
+		if scs[i], err = base.WithPlan(plan); err != nil {
 			fatalf(1, "sweep generated an invalid plan: %v", err)
 		}
 	}
 	type outcome struct {
-		sc     replay.Scenario
+		sc     *scenario.Scenario
 		err    error
-		shrunk replay.Scenario
+		shrunk *scenario.Scenario
 		runs   int
 		serr   error
 	}
-	results := engine.Map(parallel, scenarios, func(_ int, sc replay.Scenario) outcome {
+	results := engine.Map(parallel, scs, func(_ int, sc *scenario.Scenario) outcome {
 		o := outcome{sc: sc}
-		if _, o.err = cedar.ReplayErr(sc); o.err != nil {
-			o.shrunk, o.runs, o.serr = cedar.ShrinkErr(sc, shrinkRuns)
+		if _, _, o.err = scenario.Check(context.Background(), sc); o.err != nil {
+			o.shrunk, o.runs, o.serr = shrink(sc, shrinkRuns)
 		}
 		return o
 	})
@@ -185,13 +189,75 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 		}
 		failures++
 		fmt.Fprintf(os.Stderr, "cedarfuzz: sweep %d/%d FAILED (%v)\n  scenario: %s\n",
-			i+1, n, o.err, o.sc)
+			i+1, n, o.err, line(o.sc))
 		if o.serr != nil {
-			fmt.Fprintf(os.Stderr, "  shrink failed: %v\n", o.serr)
+			fmt.Fprintf(os.Stderr, "  shrunk failed: %v\n", o.serr)
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "  shrunk (%d replays): %s\n  add it to the corpus with a comment naming the bug\n",
-			o.runs, o.shrunk)
+		o.shrunk.Name = fmt.Sprintf("sweep-%d-%d", seed, i+1)
+		fmt.Fprintf(os.Stderr, "  shrunk (%d replays): %s\n  check it into testdata/faultcorpus/ with a comment naming the bug:\n%s",
+			o.runs, line(o.shrunk), indent(o.shrunk.Document(""), "    "))
 	}
 	return failures
+}
+
+// line renders a scenario's one-line form, falling back to its name.
+func line(sc *scenario.Scenario) string {
+	if l, err := sc.Line(); err == nil {
+		return l
+	}
+	return sc.Name
+}
+
+// shrink minimizes a failing scenario's fault plan with the
+// delta-debugging shrinker: the result reproduces the same outcome
+// class (deadlock, or any error) with the fewest, plainest fault
+// injections, and declares that class as its expectation. It returns
+// the shrunk scenario and the number of runs spent. Shrinking a
+// scenario that completes cleanly is an error — there is nothing to
+// reproduce.
+func shrink(sc *scenario.Scenario, maxRuns int) (*scenario.Scenario, int, error) {
+	ctx := context.Background()
+	_, class, _ := scenario.Check(ctx, sc)
+	if class == scenario.ExpectOK {
+		return sc, 1, fmt.Errorf("scenario %s completes cleanly; nothing to shrink", sc)
+	}
+	failing := func(plan faults.Plan) bool {
+		cand, err := sc.WithPlan(plan)
+		if err != nil {
+			return false
+		}
+		_, got, _ := scenario.Check(ctx, cand)
+		return got == class
+	}
+	plan, runs := replay.Shrink(sc.Plan, failing, maxRuns)
+	shrunk, err := sc.WithPlan(plan)
+	if err != nil {
+		return sc, runs + 1, err
+	}
+	shrunk.Expect = class
+	return shrunk, runs + 1, nil
+}
+
+// faultWindows runs the app healthy on the configuration with the
+// observability layer armed and returns the merged virtual-time
+// windows in which page faults were serviced. The schedule fuzzer
+// (replay.SweepTimes) aims fail-stops at these windows — the hand-off
+// races live inside them.
+func faultWindows(app perfect.App, cfg arch.Config, opts cedar.Options) ([]replay.Window, error) {
+	opts.Faults = nil
+	if opts.Observe == nil {
+		opts.Observe = &obs.Options{SeriesInterval: -1}
+	}
+	run, err := cedar.SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	var ws []replay.Window
+	for _, sp := range run.Obs.Spans() {
+		if strings.HasPrefix(sp.Name, "pgflt") {
+			ws = append(ws, replay.Window{Start: sp.Start, End: sp.End})
+		}
+	}
+	return replay.MergeWindows(ws), nil
 }

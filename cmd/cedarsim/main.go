@@ -13,7 +13,7 @@
 //	         [-config 64proc] [-clusters N -ces-per-cluster N
 //	          -gm-modules N -stages N -degree N] [-list-configs]
 //	         [-fault ce:2@1e6,module:17@5e5]
-//	         [-record-scenario corpus.scenario]
+//	         [-record-scenario new.scenario]
 //	         [-replay 'app=FLO52 config=8proc ... plan=ce:1@76414']
 //	         [-trace out.json] [-profile out.folded] [-series out.csv|out.prom]
 //	         [-metrics out.prom|out.json|out.csv]
@@ -21,7 +21,7 @@
 //
 // Independent simulations within one invocation — the measured run and
 // its 1-processor baseline, the healthy/degraded pair of a -fault
-// comparison, and every scenario of a -replay corpus file — execute
+// comparison, and the two runs of a -replay — execute
 // through the deterministic parallel engine; -parallel bounds the
 // worker count (default GOMAXPROCS, 1 forces sequential). Each
 // simulation owns its kernel and seed, so the printed report is
@@ -36,13 +36,13 @@
 //
 // With -fault, the run is repeated healthy and degraded and a
 // baseline-vs-degraded overhead-decomposition delta table is printed.
-// -record-scenario appends the fault run as a canonical replay
-// scenario line (app, config, steps, resolved seed, plan, observed
-// outcome) to a corpus file; -replay takes such a line — or a path to
-// a .scenario corpus file — and re-runs it bit-identically, verifying
-// any expect= declaration. The simulation is deterministic in virtual
-// time, so a recorded line is a complete, stable reproduction of the
-// run it came from.
+// -record-scenario writes the fault run as a new scenario document
+// (app source, config, steps, resolved seed, plan, observed outcome;
+// see internal/scenario) and refuses to overwrite an existing file;
+// -replay takes a scenario line or a path to a .scenario document and
+// re-runs it twice, bit-identically, verifying its expectation. The
+// simulation is deterministic in virtual time, so a recorded scenario
+// is a complete, stable reproduction of the run it came from.
 //
 // The application is a workload source: -app takes a registry name
 // (see -list-apps) or a single-line gen: spec, -workload runs a
@@ -79,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -88,7 +89,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -193,8 +193,8 @@ func main() {
 	chunk := flag.Int("chunk", 0, "XDOALL pickup chunk size (>1 amortizes the iteration lock)")
 	tree := flag.Int("tree", 0, "combining-tree fanout for the flat machine's barriers (>1 enables)")
 	faultSpec := flag.String("fault", "", "fault plan, e.g. ce:2@1e6,module:17@5e5 (see internal/faults)")
-	replayArg := flag.String("replay", "", "replay a recorded fault scenario: a scenario line, or a path to a .scenario corpus file")
-	recordPath := flag.String("record-scenario", "", "with -fault: append the run's replay scenario line to this corpus file")
+	replayArg := flag.String("replay", "", "replay a recorded scenario: a scenario line, or a path to a .scenario document")
+	recordPath := flag.String("record-scenario", "", "with -fault: record the run as a new scenario document at this path")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file")
 	profilePath := flag.String("profile", "", "write a folded-stack profile weighted by virtual cycles")
 	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the simulator process (wall-clock, not virtual cycles)")
@@ -237,6 +237,9 @@ func main() {
 	if *recordPath != "" && *faultSpec == "" {
 		usageErr("-record-scenario needs a -fault plan to record")
 	}
+	if _, err := os.Stat(*recordPath); *recordPath != "" && err == nil {
+		usageErr("-record-scenario %s already exists", *recordPath)
+	}
 	if *steps < 0 {
 		usageErr("-steps %d is negative", *steps)
 	}
@@ -277,9 +280,11 @@ func main() {
 	// remoteWorkload is the inline source a -server run submits instead
 	// of a registry name: the gen: spec verbatim, or the canonical
 	// document text of a -workload file (the server must not read
-	// client-side paths).
+	// client-side paths). source is the app as -record-scenario writes
+	// it: a registry name or gen: spec verbatim, else the canonical
+	// document text.
 	var app perfect.App
-	var remoteWorkload string
+	var remoteWorkload, source string
 	switch {
 	case *genSpec != "":
 		src := *genSpec
@@ -289,18 +294,25 @@ func main() {
 		if app, err = (perfect.Resolver{}).Resolve(src); err != nil {
 			usageErr("%v", err)
 		}
-		remoteWorkload = src
+		remoteWorkload, source = src, src
 	case *workloadPath != "":
 		if app, err = perfect.LoadWorkload(*workloadPath); err != nil {
 			usageErr("%v", err)
 		}
 		remoteWorkload = string(perfect.PrintWorkload(app))
+		source = remoteWorkload
 	default:
 		if app, err = (perfect.Resolver{AllowFiles: true}).Resolve(*appName); err != nil {
 			usageErr("%v", err)
 		}
-		if strings.Contains(*appName, "\n") || strings.HasSuffix(*appName, perfect.WorkloadExt) || strings.HasPrefix(*appName, perfect.GenPrefix) {
+		source = app.Name
+		switch {
+		case strings.HasPrefix(*appName, perfect.GenPrefix):
 			remoteWorkload = string(perfect.PrintWorkload(app))
+			source = *appName
+		case strings.Contains(*appName, "\n") || strings.HasSuffix(*appName, perfect.WorkloadExt):
+			remoteWorkload = string(perfect.PrintWorkload(app))
+			source = remoteWorkload
 		}
 	}
 
@@ -389,7 +401,7 @@ func main() {
 	}
 
 	if *faultSpec != "" {
-		runFaulted(app, cfg, opts, *faultSpec, *recordPath, exp)
+		runFaulted(app, source, cfg, opts, *faultSpec, *recordPath, exp)
 		return
 	}
 
@@ -568,70 +580,65 @@ func (e exporter) toFile(path string, fn func(*os.File) error) {
 	fmt.Fprintf(os.Stderr, "cedarsim: wrote %s\n", path)
 }
 
-// runReplay re-runs one recorded scenario — or every scenario in a
-// corpus file — and verifies each declared expectation (each replayed
-// twice for bit-identity, concurrently per -parallel, reported in
-// corpus order). Exit status 1 when any scenario misses its
-// expectation.
+// runReplay re-runs one recorded scenario — a scenario line, or a
+// .scenario document — twice for bit-identity and verifies its
+// declared expectation. Exit status 1 when it misses.
 func runReplay(arg string, parallel int) {
-	var entries []replay.CorpusEntry
+	var sc *scenario.Scenario
+	var err error
+	where := "command line"
 	if strings.Contains(arg, "plan=") {
-		sc, err := replay.Parse(arg)
-		if err != nil {
-			usageErr("%v", err)
-		}
-		entries = append(entries, replay.CorpusEntry{Scenario: sc, File: "command line"})
+		sc, err = scenario.ParseLine(arg)
 	} else {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			usageErr("-replay %s: %v", arg, err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			sc, err := replay.Parse(line)
-			if err != nil {
-				usageErr("%s:%d: %v", arg, i+1, err)
-			}
-			entries = append(entries, replay.CorpusEntry{Scenario: sc, File: arg, Line: i + 1})
-		}
-		if len(entries) == 0 {
-			usageErr("-replay %s: no scenarios in file", arg)
-		}
+		sc, err = scenario.LoadFile(arg)
+		where = arg
 	}
-	failed := 0
-	for _, cr := range cedar.CheckCorpus(entries, parallel) {
-		where := cr.Entry.File
-		if cr.Entry.Line > 0 {
-			where = fmt.Sprintf("%s:%d", cr.Entry.File, cr.Entry.Line)
-		}
-		fmt.Printf("replay %s\n  %s\n", where, cr.Entry.Scenario)
-		if cr.Err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "cedarsim: %v\n", cr.Err)
-			continue
-		}
-		if cr.Run != nil && cr.Entry.Scenario.Expectation() == replay.ExpectOK {
-			fmt.Printf("  outcome: ok (ct=%d, seq faults=%d, conc faults=%d)\n",
-				int64(cr.Run.Result.CT), cr.Run.OS.SeqFaults(), cr.Run.OS.ConcFaults())
-		} else {
-			fmt.Printf("  outcome: %s, as expected\n", cr.Entry.Scenario.Expectation())
-		}
+	if err != nil {
+		usageErr("-replay: %v", err)
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "cedarsim: %d of %d scenario(s) missed their expectation\n",
-			failed, len(entries))
+	r := scenario.Replay([]*scenario.Scenario{sc}, parallel)[0]
+	label, err := sc.Line()
+	if err != nil {
+		label = sc.Name // an inline workload has no one-line form
+	}
+	fmt.Printf("replay %s\n  %s\n", where, label)
+	switch {
+	case r.Err != nil:
+		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", r.Err)
 		os.Exit(1)
+	case sc.Expectation() == scenario.ExpectOK:
+		fmt.Printf("  outcome: ok (ct=%d, seq faults=%d, conc faults=%d)\n",
+			int64(r.Run.Result.CT), r.Run.OS.SeqFaults(), r.Run.OS.ConcFaults())
+	default:
+		fmt.Printf("  outcome: %s, as expected\n", sc.Expectation())
 	}
+}
+
+// recordScenario writes the fault run of source on cfg under opts as a
+// scenario document at path, declaring the observed outcome. It never
+// overwrites an existing file.
+func recordScenario(path, source string, cfg arch.Config, opts cedar.Options, runErr error) (*scenario.Scenario, error) {
+	name := strings.TrimSuffix(filepath.Base(path), scenario.Ext)
+	sc, err := scenario.FromRun(name, source, cfg, opts, scenario.Outcome(runErr))
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	_, werr := f.Write(sc.Document("Recorded by cedarsim -record-scenario."))
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return sc, werr
 }
 
 // runFaulted runs the degraded-vs-baseline comparison for one fault
 // plan and prints the decomposition delta table. With recordPath, the
-// run is appended to that corpus file as a replay scenario line
-// carrying its observed outcome.
-func runFaulted(app perfect.App, cfg arch.Config, opts cedar.Options, spec, recordPath string, exp exporter) {
+// degraded run of source (the app's scenario source, see main) is
+// recorded there as a scenario document carrying its observed outcome.
+func runFaulted(app perfect.App, source string, cfg arch.Config, opts cedar.Options, spec, recordPath string, exp exporter) {
 	plan, err := faults.Parse(spec)
 	if err != nil {
 		usageErr("%v", err)
@@ -664,13 +671,12 @@ func runFaulted(app perfect.App, cfg arch.Config, opts cedar.Options, spec, reco
 		// exists to pin.
 		po := opts
 		po.Faults = plan
-		sc := cedar.RecordScenario(app, cfg, po)
-		sc.Expect = cedar.Outcome(fr.Err)
-		if err := replay.AppendCorpus(recordPath, sc, ""); err != nil {
-			fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
+		sc, err := recordScenario(recordPath, source, cfg, po, fr.Err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cedarsim: -record-scenario: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "cedarsim: recorded to %s: %s\n", recordPath, sc)
+		fmt.Fprintf(os.Stderr, "cedarsim: recorded %s to %s\n", sc.Name, recordPath)
 	}
 	if fr.Err != nil {
 		switch {

@@ -185,8 +185,8 @@ func TestQuickFaultConservation(t *testing.T) {
 			// its canonical form so the schedule goes straight into
 			// cedarsim -replay / testdata/faultcorpus — no reconstruction
 			// from the quick-check log needed.
-			t.Errorf("plan %s: run failed: %v\nreplay with: %s",
-				plan, err, RecordScenario(app, cfg, po))
+			t.Errorf("plan %s: run failed: %v\nreplay with: app=%s config=%s steps=%d seed=%d plan=%s",
+				plan, err, app.Name, cfg.Name, po.Steps, po.KernelSeed(app, cfg), plan)
 			return false
 		}
 		res := run.Result

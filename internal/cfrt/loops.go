@@ -307,9 +307,7 @@ func busNext(cl *cluster.Cluster, start, count int) func(ce *cluster.CE) (int, b
 		i := next
 		next++
 		// The bus grant: a tiny serialized window per dispatch.
-		now := ce.Now()
-		_, end := cl.ConcBus.Reserve(now, 2)
-		ce.SpendUntil(end, metrics.CatLoopIter)
+		ce.SpendUntil(cl.ConcBusReserve(ce.Now(), 2), metrics.CatLoopIter)
 		return start + i, true
 	}
 }

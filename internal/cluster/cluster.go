@@ -12,8 +12,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/gmem"
@@ -48,6 +46,10 @@ type Machine struct {
 	ceFailed []bool             // fail-stopped via CE.Fail
 	ceSlow   []float64          // clock degradation; 0 or 1 = healthy
 
+	// concBus holds every cluster's concurrency-control bus, one
+	// calendar entry per cluster ID.
+	concBus *sim.CalendarStore
+
 	// Contiguous backing storage and cached machine-order views. The
 	// views are built once at construction; callers must treat the
 	// returned slices as read-only.
@@ -76,6 +78,7 @@ func NewMachine(k *sim.Kernel, cfg arch.Config, cost arch.CostModel) *Machine {
 	m.acctBlock = metrics.NewAccountBlock(n)
 	m.allCEs = make([]*CE, n)
 	m.accounts = make([]*metrics.Account, n)
+	m.concBus = sim.NewCalendarStore(cfg.Clusters)
 	for c := 0; c < cfg.Clusters; c++ {
 		m.Clusters = append(m.Clusters, newCluster(m, c))
 	}
@@ -147,9 +150,14 @@ type Cluster struct {
 	ID      int
 	CEs     []*CE
 	Cache   *cache.Cache
-	// ConcBus serializes concurrency-control-bus transactions
-	// (CDOALL dispatch, cluster barrier sync).
-	ConcBus *sim.Calendar
+}
+
+// ConcBusReserve books the cluster's concurrency-control bus, which
+// serializes its transactions (CDOALL dispatch, cluster barrier sync),
+// for busy cycles from now, and returns when the transaction ends.
+func (c *Cluster) ConcBusReserve(now sim.Time, busy sim.Duration) sim.Time {
+	_, end := c.Machine.concBus.Reserve(c.ID, now, busy)
+	return end
 }
 
 func newCluster(m *Machine, id int) *Cluster {
@@ -157,7 +165,6 @@ func newCluster(m *Machine, id int) *Cluster {
 		Machine: m,
 		ID:      id,
 		Cache:   cache.New(m.Cost),
-		ConcBus: sim.NewCalendar(fmt.Sprintf("cbus.c%d", id)),
 	}
 	for l := 0; l < m.Cfg.CEsPerCluster; l++ {
 		cid := arch.CEID{Cluster: id, Local: l}
@@ -326,7 +333,5 @@ func (ce *CE) CacheAccess(words int, hitRatio float64) sim.Duration {
 // given cost, waiting for the bus if another transaction is in flight,
 // and charges the elapsed time to cat.
 func (ce *CE) ConcBusOp(cost int64, cat metrics.Category) {
-	now := ce.Now()
-	_, end := ce.Cluster.ConcBus.Reserve(now, sim.Duration(cost))
-	ce.SpendUntil(end, cat)
+	ce.SpendUntil(ce.Cluster.ConcBusReserve(ce.Now(), sim.Duration(cost)), cat)
 }

@@ -42,7 +42,7 @@ func MergeWindows(spans []Window) []Window {
 	return out
 }
 
-// SweepTimes generates n fault scenarios whose fail-stop times sweep
+// SweepTimes generates n fault plans whose fail-stop times sweep
 // the given page-fault windows: edges (just before the service, at its
 // start, mid-service, at and just past its end) and uniform points
 // inside, optionally preceded by a CE slow-down or memory-module
@@ -50,18 +50,17 @@ func MergeWindows(spans []Window) []Window {
 // the shape of the schedule that originally exposed the fail-stop
 // page-fault deadlock. ces lists the CE indices eligible to be killed
 // (lead CE 0 is the caller's choice to include). The sweep is
-// deterministic in seed; base supplies app/config/steps/seed and any
-// always-on plan prefix.
-func SweepTimes(base Scenario, windows []Window, ces []int, gmModules int, seed int64, n int) []Scenario {
+// deterministic in seed; base is an always-on plan prefix.
+func SweepTimes(base faults.Plan, windows []Window, ces []int, gmModules int, seed int64, n int) []faults.Plan {
 	if len(windows) == 0 || len(ces) == 0 || n <= 0 {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]Scenario, 0, n)
+	out := make([]faults.Plan, 0, n)
 	for i := 0; i < n; i++ {
 		w := windows[rng.Intn(len(windows))]
 		at := sweepPoint(rng, w)
-		plan := append(faults.Plan(nil), base.Plan...)
+		plan := append(faults.Plan(nil), base...)
 		// Half the scenarios stretch the machine first, so services run
 		// long and the kill lands inside windows the healthy timeline
 		// does not have.
@@ -96,9 +95,7 @@ func SweepTimes(base Scenario, windows []Window, ces []int, gmModules int, seed 
 				At:     sweepPoint(rng, w2),
 			})
 		}
-		sc := base
-		sc.Plan = plan
-		out = append(out, sc)
+		out = append(out, plan)
 	}
 	return out
 }

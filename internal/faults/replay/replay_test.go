@@ -1,150 +1,25 @@
 package replay
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
-func TestScenarioRoundTrip(t *testing.T) {
-	lines := []string{
-		"app=FLO52 config=8proc steps=1 seed=3327910339796038169 plan=ce:4x1.25@47085,ce:1@76414,module:3x2@23648",
-		"app=FLO52 config=16proc steps=2 seed=-7 plan=ce:1@76414 expect=deadlock",
-		"app=TRFD config=8proc steps=0 seed=0 plan=lock:-1@50000+50000,storm:0@100000 expect=error",
-	}
-	for _, line := range lines {
-		sc, err := Parse(line)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", line, err)
-		}
-		if got := sc.String(); got != line {
-			t.Errorf("round trip changed the line:\n in: %s\nout: %s", line, got)
-		}
-		again, err := Parse(sc.String())
-		if err != nil {
-			t.Fatalf("re-Parse(%q): %v", sc, err)
-		}
-		if again.String() != sc.String() {
-			t.Errorf("second round trip unstable: %s vs %s", again, sc)
-		}
-	}
-}
-
-func TestParseKeyOrderAndDefaults(t *testing.T) {
-	sc, err := Parse("plan=ce:1@500 config=8proc app=FLO52")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.App != "FLO52" || sc.Config != "8proc" || sc.Steps != 0 || sc.Seed != 0 {
-		t.Fatalf("parsed fields wrong: %+v", sc)
-	}
-	if sc.Expectation() != ExpectOK {
-		t.Fatalf("default expectation = %q, want %q", sc.Expectation(), ExpectOK)
-	}
-	// expect=ok is valid input but canonically omitted.
-	sc2, err := Parse("app=FLO52 config=8proc plan=ce:1@500 expect=ok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sc2.String(), "expect=") {
-		t.Fatalf("expect=ok not omitted from canonical form: %s", sc2)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	for _, line := range []string{
-		"config=8proc plan=ce:1@500",                        // missing app
-		"app=FLO52 plan=ce:1@500",                           // missing config
-		"app=FLO52 config=8proc",                            // missing plan
-		"app=FLO52 config=8proc plan=bogus",                 // bad plan grammar
-		"app=FLO52 config=8proc plan=ce:1@500 expect=maybe", // bad expect
-		"app=FLO52 config=8proc plan=ce:1@500 steps=-1",     // negative steps
-		"app=FLO52 config=8proc plan=ce:1@500 color=red",    // unknown key
-		"app=FLO52 config=8proc plan=ce:1@500 naked",        // not key=value
-	} {
-		if _, err := Parse(line); err == nil {
-			t.Errorf("Parse(%q) accepted a bad line", line)
-		}
-	}
-}
-
-func TestCorpusLoadAndAppend(t *testing.T) {
-	dir := t.TempDir()
-
-	// Missing directory: empty corpus, no error.
-	entries, err := LoadCorpus(filepath.Join(dir, "nonexistent"))
-	if err != nil || len(entries) != 0 {
-		t.Fatalf("missing dir: entries=%d err=%v, want empty and nil", len(entries), err)
-	}
-
-	file := filepath.Join(dir, "b-second.scenario")
-	if err := os.WriteFile(file, []byte(strings.Join([]string{
-		"# a comment",
-		"",
-		"app=FLO52 config=8proc steps=1 seed=9 plan=ce:1@500",
-		"  # indented comment",
-		"app=FLO52 config=8proc steps=1 seed=9 plan=ce:2@500 expect=deadlock",
-		"",
-	}, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Parse("app=TRFD config=16proc steps=1 seed=4 plan=module:0@900")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendCorpus(filepath.Join(dir, "a-first.scenario"), sc, "found by fuzzing\nkept for regression"); err != nil {
-		t.Fatal(err)
-	}
-	// A stray non-corpus file must be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("app=BAD"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	entries, err = LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("loaded %d entries, want 3", len(entries))
-	}
-	// Files sort by name: a-first before b-second.
-	if entries[0].Scenario.App != "TRFD" {
-		t.Fatalf("corpus order wrong: first entry %+v", entries[0].Scenario)
-	}
-	if entries[1].Line != 3 || entries[2].Line != 5 {
-		t.Fatalf("line provenance wrong: %d, %d (want 3, 5)", entries[1].Line, entries[2].Line)
-	}
-	if entries[2].Scenario.Expectation() != ExpectDeadlock {
-		t.Fatalf("expect not loaded: %+v", entries[2].Scenario)
-	}
-
-	// A bad line fails loudly with its provenance.
-	if err := os.WriteFile(filepath.Join(dir, "c-bad.scenario"), []byte("app=X\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCorpus(dir); err == nil || !strings.Contains(err.Error(), "c-bad.scenario:1") {
-		t.Fatalf("bad corpus line not reported with provenance: %v", err)
-	}
-}
-
 // TestShrinkDDMin drives the shrinker with a synthetic predicate: the
 // failure reproduces iff the plan still kills CE 1 inside the window
 // [70000, 80000]. Everything else must be stripped and the kill time
 // snapped to the coarsest grid that stays inside the window.
 func TestShrinkDDMin(t *testing.T) {
-	sc, err := Parse("app=FLO52 config=8proc steps=1 seed=1 " +
-		"plan=ce:4x3.75@47085,module:3x4@23648,ce:1@76414,lock:-1@30000+12345,ce:2@90000")
+	plan, err := faults.Parse("ce:4x3.75@47085,module:3x4@23648,ce:1@76414,lock:-1@30000+12345,ce:2@90000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := 0
-	failing := func(cand Scenario) bool {
+	failing := func(cand faults.Plan) bool {
 		runs++
-		for _, ev := range cand.Plan {
+		for _, ev := range cand {
 			if ev.Kind == faults.CEFail && ev.Target == 1 &&
 				ev.At >= 70_000 && ev.At <= 80_000 {
 				return true
@@ -152,11 +27,11 @@ func TestShrinkDDMin(t *testing.T) {
 		}
 		return false
 	}
-	shrunk, spent := Shrink(sc, failing, 0)
-	if len(shrunk.Plan) != 1 {
-		t.Fatalf("shrunk to %d events (%s), want 1", len(shrunk.Plan), shrunk.Plan)
+	shrunk, spent := Shrink(plan, failing, 0)
+	if len(shrunk) != 1 {
+		t.Fatalf("shrunk to %d events (%s), want 1", len(shrunk), shrunk)
 	}
-	ev := shrunk.Plan[0]
+	ev := shrunk[0]
 	if ev.Kind != faults.CEFail || ev.Target != 1 {
 		t.Fatalf("shrunk to wrong event: %s", ev)
 	}
@@ -167,21 +42,21 @@ func TestShrinkDDMin(t *testing.T) {
 		t.Fatalf("run accounting wrong: spent=%d, predicate calls=%d", spent, runs)
 	}
 
-	// A scenario that does not fail comes back unchanged.
-	ok, _ := Parse("app=FLO52 config=8proc steps=1 seed=1 plan=ce:5@999")
+	// A plan that does not fail comes back unchanged.
+	ok, _ := faults.Parse("ce:5@999")
 	same, _ := Shrink(ok, failing, 50)
 	if same.String() != ok.String() {
-		t.Fatalf("non-failing scenario was modified: %s", same)
+		t.Fatalf("non-failing plan was modified: %s", same)
 	}
 }
 
 func TestShrinkRespectsMaxRuns(t *testing.T) {
-	sc, err := Parse("app=FLO52 config=8proc steps=1 seed=1 plan=ce:1@100,ce:2@200,ce:3@300,ce:4@400")
+	plan, err := faults.Parse("ce:1@100,ce:2@200,ce:3@300,ce:4@400")
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	_, spent := Shrink(sc, func(Scenario) bool { calls++; return true }, 5)
+	_, spent := Shrink(plan, func(faults.Plan) bool { calls++; return true }, 5)
 	if calls > 5 || spent > 5 {
 		t.Fatalf("maxRuns=5 exceeded: calls=%d spent=%d", calls, spent)
 	}
@@ -209,7 +84,7 @@ func TestMergeWindows(t *testing.T) {
 }
 
 func TestSweepTimesDeterministicAndBounded(t *testing.T) {
-	base, err := Parse("app=FLO52 config=8proc steps=1 seed=9 plan=port:0x4@1000")
+	base, err := faults.Parse("port:0x4@1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,15 +112,12 @@ func TestSweepTimesDeterministicAndBounded(t *testing.T) {
 		t.Fatal("different seeds produced identical sweeps")
 	}
 
-	for i, sc := range a {
-		if sc.App != base.App || sc.Config != base.Config || sc.Seed != base.Seed {
-			t.Fatalf("scenario %d lost base identity: %s", i, sc)
-		}
-		if len(sc.Plan) == 0 || sc.Plan[0] != base.Plan[0] {
-			t.Fatalf("scenario %d dropped the base plan prefix: %s", i, sc)
+	for i, plan := range a {
+		if len(plan) == 0 || plan[0] != base[0] {
+			t.Fatalf("plan %d dropped the base plan prefix: %s", i, plan)
 		}
 		kills := 0
-		for _, ev := range sc.Plan {
+		for _, ev := range plan {
 			switch ev.Kind {
 			case faults.CEFail:
 				kills++
@@ -256,7 +128,7 @@ func TestSweepTimesDeterministicAndBounded(t *testing.T) {
 					}
 				}
 				if !found {
-					t.Fatalf("scenario %d kills ineligible CE %d", i, ev.Target)
+					t.Fatalf("plan %d kills ineligible CE %d", i, ev.Target)
 				}
 				// Kill times stay near the windows (jitter <= 64 either side).
 				near := false
@@ -266,28 +138,28 @@ func TestSweepTimesDeterministicAndBounded(t *testing.T) {
 					}
 				}
 				if !near {
-					t.Fatalf("scenario %d kill at %d lands outside every window", i, ev.At)
+					t.Fatalf("plan %d kill at %d lands outside every window", i, ev.At)
 				}
 			case faults.CESlow:
 				if ev.Factor < 1.25 {
-					t.Fatalf("scenario %d slow factor %g < 1.25", i, ev.Factor)
+					t.Fatalf("plan %d slow factor %g < 1.25", i, ev.Factor)
 				}
 			case faults.ModuleSlow:
 				if ev.Target < 0 || ev.Target >= 16 {
-					t.Fatalf("scenario %d module %d out of range", i, ev.Target)
+					t.Fatalf("plan %d module %d out of range", i, ev.Target)
 				}
 			}
 		}
 		if kills == 0 {
-			t.Fatalf("scenario %d has no fail-stop: %s", i, sc)
+			t.Fatalf("plan %d has no fail-stop: %s", i, plan)
 		}
 	}
 
 	if got := SweepTimes(base, nil, ces, 16, 1, 5); got != nil {
-		t.Fatal("no windows must yield no scenarios")
+		t.Fatal("no windows must yield no plans")
 	}
 	if got := SweepTimes(base, windows, nil, 16, 1, 5); got != nil {
-		t.Fatal("no eligible CEs must yield no scenarios")
+		t.Fatal("no eligible CEs must yield no plans")
 	}
 }
 

@@ -211,23 +211,42 @@ func parseRange(s string) (Range, error) {
 	return Range{min, max}, nil
 }
 
+// Upper bounds on the spec's knobs. A spec can arrive over the network
+// (a cedarserved job or bench document), and generation allocates per
+// phase and multiplies the sampled sizes together, so every knob is
+// bounded well above the calibrated envelope but below what would
+// exhaust memory or overflow the integer workload fields.
+const (
+	maxPhases = 256     // parallel phases per step
+	maxGran   = 1e9     // compute cycles per iteration
+	maxPages  = 1 << 20 // 512-word pages of footprint
+	maxGM     = 1e3     // GM words per compute cycle
+)
+
+// within reports min <= r.Min <= r.Max <= max; NaN bounds fail.
+func (r Range) within(min, max float64) bool {
+	return r.Min >= min && r.Min <= r.Max && r.Max <= max
+}
+
+// validate checks every knob against its domain. The comparisons are
+// written so that NaN fails them.
 func (s Spec) validate() error {
 	switch {
 	case s.Steps < 1:
 		return fmt.Errorf("gen: steps %d violates steps >= 1", s.Steps)
-	case s.PhaseMin < 1 || s.PhaseMax < s.PhaseMin:
-		return fmt.Errorf("gen: phases %d-%d violates 1 <= min <= max", s.PhaseMin, s.PhaseMax)
-	case s.Gran.Min < 1:
-		return fmt.Errorf("gen: gran %s violates gran >= 1", s.Gran)
-	case s.Jitter < 0 || s.Jitter > 1:
+	case s.PhaseMin < 1 || s.PhaseMax < s.PhaseMin || s.PhaseMax > maxPhases:
+		return fmt.Errorf("gen: phases %d-%d violates 1 <= min <= max <= %d", s.PhaseMin, s.PhaseMax, maxPhases)
+	case !s.Gran.within(1, maxGran):
+		return fmt.Errorf("gen: gran %s violates 1 <= gran <= %s", s.Gran, num(maxGran))
+	case !(s.Jitter >= 0 && s.Jitter <= 1):
 		return fmt.Errorf("gen: jitter %v violates 0 <= jitter <= 1", s.Jitter)
-	case s.Serial.Min < 0 || s.Serial.Max >= 1:
+	case !(s.Serial.within(0, 1) && s.Serial.Max < 1):
 		return fmt.Errorf("gen: serial %s violates 0 <= serial < 1", s.Serial)
-	case s.Pages.Min < 1:
-		return fmt.Errorf("gen: pages %s violates pages >= 1", s.Pages)
-	case s.GM.Min < 0:
-		return fmt.Errorf("gen: gm %s violates gm >= 0", s.GM)
-	case s.Hot < 0 || s.Hot > 1:
+	case !s.Pages.within(1, maxPages):
+		return fmt.Errorf("gen: pages %s violates 1 <= pages <= %d", s.Pages, maxPages)
+	case !s.GM.within(0, maxGM):
+		return fmt.Errorf("gen: gm %s violates 0 <= gm <= %s", s.GM, num(maxGM))
+	case !(s.Hot >= 0 && s.Hot <= 1):
 		return fmt.Errorf("gen: hot %v violates 0 <= hot <= 1", s.Hot)
 	}
 	if _, ok := mixes[s.Mix]; !ok {

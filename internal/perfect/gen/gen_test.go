@@ -124,6 +124,15 @@ func TestParseSpecErrors(t *testing.T) {
 		{"jitter=2", "jitter <= 1"},
 		{"serial=0.5-1.5", "serial < 1"},
 		{"phases=0-3", "1 <= min <= max"},
+		// Unbounded or NaN knobs would exhaust memory or overflow the
+		// generated app's integer fields (a panic in Generate).
+		{"phases=1-1e9", "max <= 256"},
+		{"gran=NaN", "gran"},
+		{"gm=1e30", "gm <= 1000"},
+		{"pages=1e300", "pages <= 1048576"},
+		{"jitter=NaN", "jitter"},
+		{"hot=NaN", "hot"},
+		{"serial=NaN", "serial"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.spec)

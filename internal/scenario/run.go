@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -40,28 +41,84 @@ type Record struct {
 // Key identifies the record in a diff: scenario/metric.
 func (r Record) Key() string { return r.Scenario + "/" + r.Metric }
 
-// RunCtx executes one scenario through the cedar facade and extracts
-// its metric records. wallclock additionally measures
-// MetricWallEventsPerSec (nondeterministic; see the metric's doc). A
-// run that ends abnormally (deadlock, cycle budget, cancellation) is
-// an error: a capture only ever holds completed experiments.
-func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error) {
-	app, cfg, err := sc.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	opts := cedar.Options{
+// Options returns the facade options the scenario runs under — the
+// one place a scenario becomes a cedar run.
+func (sc *Scenario) Options() cedar.Options {
+	return cedar.Options{
 		Steps:     sc.Steps,
 		Seed:      sc.Seed,
 		Faults:    sc.Plan,
 		MaxCycles: sim.Time(sc.MaxCycles),
 		Parallel:  sc.Parallel,
 	}
-	start := time.Now()
-	run, err := cedar.SimulateRunCtx(ctx, app, cfg, opts)
-	wall := time.Since(start)
+}
+
+// Outcome classifies how a run ended: ExpectOK, ExpectDeadlock, or
+// ExpectError.
+func Outcome(err error) string {
+	switch {
+	case err == nil:
+		return ExpectOK
+	case errors.Is(err, sim.ErrDeadlock):
+		return ExpectDeadlock
+	default:
+		return ExpectError
+	}
+}
+
+// ErrExpectation marks a run whose outcome missed the scenario's
+// declared expectation (errors.Is).
+var ErrExpectation = errors.New("outcome missed the expectation")
+
+// interrupted reports an error caused by stopping a run from outside
+// the model — context cancellation or an expired deadline, usually
+// surfaced as the kernel's *sim.CanceledError — as opposed to an
+// outcome of the simulation itself.
+func interrupted(err error) bool {
+	return errors.Is(err, sim.ErrCanceled) ||
+		errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
+// Check runs the scenario once and checks its expectation. It returns
+// the run (nil when the simulation never started) and its outcome
+// class. The error is nil when the outcome meets the expectation and
+// matches ErrExpectation when it does not; a run interrupted from
+// outside the model (ctx) returns the raw error and no outcome,
+// because a truncated run is never a simulation result.
+func Check(ctx context.Context, sc *Scenario) (*cedar.Run, string, error) {
+	app, cfg, err := sc.Resolve()
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return nil, "", err
+	}
+	run, err := cedar.SimulateRunCtx(ctx, app, cfg, sc.Options())
+	if err != nil && interrupted(err) {
+		return run, "", err
+	}
+	outcome := Outcome(err)
+	switch want := sc.Expectation(); {
+	case outcome == want:
+		return run, outcome, nil
+	case want == ExpectOK:
+		return run, outcome, fmt.Errorf("scenario %s: %w: %w", sc, ErrExpectation, err)
+	case err != nil:
+		return run, outcome, fmt.Errorf("scenario %s: %w: outcome %s, want %s (%v)", sc, ErrExpectation, outcome, want, err)
+	default:
+		return run, outcome, fmt.Errorf("scenario %s: %w: outcome %s, want %s", sc, ErrExpectation, outcome, want)
+	}
+}
+
+// RunCtx executes one scenario and extracts its metric records.
+// wallclock additionally measures MetricWallEventsPerSec
+// (nondeterministic; see the metric's doc). A capture only ever holds
+// completed runs: a scenario expected to fail contributes no records
+// when it does, and a missed expectation is an error.
+func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error) {
+	start := time.Now()
+	run, outcome, err := Check(ctx, sc)
+	wall := time.Since(start)
+	if err != nil || outcome != ExpectOK {
+		return nil, err
 	}
 	return sc.extract(run, wall, wallclock)
 }
@@ -69,6 +126,37 @@ func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error)
 // Run is RunCtx without cancellation.
 func Run(sc *Scenario, wallclock bool) ([]Record, error) {
 	return RunCtx(context.Background(), sc, wallclock)
+}
+
+// Replayed is one scenario's Replay verdict. Err is set when the
+// scenario misbehaved: its outcome missed the expectation, or two runs
+// were not bit-identical. Run is the first run.
+type Replayed struct {
+	Scenario *Scenario
+	Run      *cedar.Run
+	Err      error
+}
+
+// Replay verifies the record/replay contract for every scenario: each
+// runs twice, must meet its expectation, and the two runs must render
+// byte-identical statfx accounting (cedar.Run.StatfxText). Scenarios
+// run concurrently per parallel (see engine.Workers); results come
+// back in input order, so output built from them is identical at any
+// setting.
+func Replay(scs []*Scenario, parallel int) []Replayed {
+	ctx := context.Background()
+	return engine.Map(parallel, scs, func(_ int, sc *Scenario) Replayed {
+		r := Replayed{Scenario: sc}
+		r.Run, _, r.Err = Check(ctx, sc)
+		if r.Err != nil || r.Run == nil {
+			return r
+		}
+		again, _, err := Check(ctx, sc)
+		if err != nil || again == nil || again.StatfxText() != r.Run.StatfxText() {
+			r.Err = fmt.Errorf("scenario %s: replay not bit-identical across two runs", sc)
+		}
+		return r
+	})
 }
 
 // extract pulls the scenario's metric set out of a finished run. The

@@ -39,10 +39,27 @@
 // default) weak-scales the app by perfect.ScaleFactorFor of the
 // configuration's CE count — 1 on paper machines, the CE ratio on
 // scaled members — and an integer pins the factor explicitly. Metrics
-// default to DefaultMetrics.
+// default to DefaultMetrics. `expect: ok|deadlock|error` (default ok)
+// declares how the run must end; a scenario that is expected to fail
+// is a regression pin (testdata/faultcorpus/), not a measurement.
+//
+// # One-line form
+//
+// A scenario whose app has a single-line source also renders as one
+// line, for logs, cedarsim -replay and serve replay/corpus jobs:
+//
+//	app=FLO52 config=8proc steps=1 seed=12345 plan=ce:1@76414 expect=deadlock
+//
+// The key order is fixed; scale=N appears only when the resolved
+// factor is not 1, max_cycles=N only when set, and expect= only when
+// it is not ok. A line without scale= runs unscaled. Line and
+// ParseLine are inverses, and so are Document and Parse. Because the
+// simulation kernel is deterministic in virtual time, re-running a
+// scenario reproduces the original run bit for bit.
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,7 +67,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
+	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/faults"
 	"repro/internal/perfect"
@@ -122,6 +141,24 @@ var knownPathologies = map[string]bool{
 	PathologyHotSpot: true, PathologyBarrierConvoy: true, PathologyPageStorm: true,
 }
 
+// Outcomes a scenario can declare (expect: key, expect= field) and
+// that Outcome classifies a run into. The empty string means ExpectOK.
+const (
+	ExpectOK       = "ok"       // the run must complete without error
+	ExpectDeadlock = "deadlock" // the run must stop with sim.ErrDeadlock
+	ExpectError    = "error"    // the run must fail (any simulation error)
+)
+
+// parseExpect validates an expect value.
+func parseExpect(val string) (string, error) {
+	switch val {
+	case ExpectOK, ExpectDeadlock, ExpectError:
+		return val, nil
+	}
+	return "", fmt.Errorf("unknown expectation %q (want %s, %s, or %s)",
+		val, ExpectOK, ExpectDeadlock, ExpectError)
+}
+
 // Scenario is one parsed experiment definition.
 type Scenario struct {
 	// Name identifies the scenario in captures and reports. Defaults to
@@ -153,6 +190,9 @@ type Scenario struct {
 	Parallel int
 	// MaxCycles aborts the run past this virtual time (0 = unlimited).
 	MaxCycles int64
+	// Expect declares how the run must end: ExpectOK (the default when
+	// empty), ExpectDeadlock, or ExpectError.
+	Expect string
 	// Metrics is the extraction set (DefaultMetrics when empty).
 	Metrics []string
 	// WallTol is the tolerance for MetricWallEventsPerSec (default 0.5).
@@ -161,7 +201,7 @@ type Scenario struct {
 	// memory, e.g. a bench service job).
 	File string
 
-	// app and cfg are resolved once by validate; Resolve and the
+	// app and cfg are resolved once by Validate; Resolve and the
 	// accessors below reuse them instead of re-querying the registries.
 	app perfect.App
 	cfg arch.Config
@@ -174,7 +214,7 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 // weak-scale transform is applied here.
 func (sc *Scenario) Resolve() (perfect.App, arch.Config, error) {
 	if sc.app.Name == "" {
-		return perfect.App{}, arch.Config{}, fmt.Errorf("scenario %s: not validated (use Parse)", sc.Name)
+		return perfect.App{}, arch.Config{}, fmt.Errorf("scenario %s: not validated (use Parse or Validate)", sc.Name)
 	}
 	return sc.app.Scaled(sc.ScaleFactor()), sc.cfg, nil
 }
@@ -186,6 +226,14 @@ func (sc *Scenario) AppName() string {
 		return sc.app.Name
 	}
 	return sc.App
+}
+
+// Expectation returns the declared outcome, defaulting to ExpectOK.
+func (sc *Scenario) Expectation() string {
+	if sc.Expect == "" {
+		return ExpectOK
+	}
+	return sc.Expect
 }
 
 // ScaleFactor returns the resolved weak-scale factor.
@@ -296,29 +344,8 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 					val, PathologyHotSpot, PathologyBarrierConvoy, PathologyPageStorm)
 			}
 			sc.Pathology = val
-		case "config":
-			sc.Config = val
-		case "steps":
-			sc.Steps, err = nonNegInt(val)
-		case "scale":
-			if val == "auto" {
-				sc.Scale = ScaleAuto
-			} else {
-				sc.Scale, err = nonNegInt(val)
-				if err == nil && sc.Scale < 1 {
-					err = fmt.Errorf("scale %d must be >= 1 (or auto)", sc.Scale)
-				}
-			}
-		case "seed":
-			sc.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "plan":
-			sc.Plan, err = faults.Parse(val)
 		case "parallel":
 			sc.Parallel, err = nonNegInt(val)
-		case "max_cycles":
-			var v int
-			v, err = nonNegInt(val)
-			sc.MaxCycles = int64(v)
 		case "wall_tol":
 			sc.WallTol, err = strconv.ParseFloat(val, 64)
 			if err == nil && (sc.WallTol < 0 || sc.WallTol >= 1) {
@@ -330,7 +357,11 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 			}
 			listKey = key
 		default:
-			err = fmt.Errorf("unknown key %q", key)
+			if known, ferr := sc.setField(key, val); known {
+				err = ferr
+			} else {
+				err = fmt.Errorf("unknown key %q", key)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario line %d: %s: %v", lineNo, key, err)
@@ -342,7 +373,233 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 		}
 		sc.Workload = strings.Join(wlLines, "\n") + "\n"
 	}
-	return sc, sc.validate()
+	return sc, sc.Validate()
+}
+
+// setField parses one of the keys both text forms share; known is
+// false for any other key. An empty plan is a healthy run.
+func (sc *Scenario) setField(key, val string) (known bool, err error) {
+	switch key {
+	case "app":
+		sc.App = val
+	case "config":
+		sc.Config = val
+	case "steps":
+		sc.Steps, err = nonNegInt(val)
+	case "scale":
+		if val == "auto" {
+			sc.Scale = ScaleAuto
+		} else {
+			sc.Scale, err = nonNegInt(val)
+			if err == nil && sc.Scale < 1 {
+				err = fmt.Errorf("scale %d must be >= 1 (or auto)", sc.Scale)
+			}
+		}
+	case "seed":
+		sc.Seed, err = strconv.ParseInt(val, 10, 64)
+	case "plan":
+		sc.Plan = nil
+		if val != "" {
+			sc.Plan, err = faults.Parse(val)
+		}
+	case "max_cycles":
+		var v int
+		v, err = nonNegInt(val)
+		sc.MaxCycles = int64(v)
+	case "expect":
+		sc.Expect, err = parseExpect(val)
+	default:
+		return false, nil
+	}
+	return true, err
+}
+
+// lineName names every scenario parsed from a line: the one-line form
+// carries a run, not a named experiment.
+const lineName = "line"
+
+// ParseLine parses a scenario's one-line form: whitespace-separated
+// key=value fields in any order, with the keys and values a document
+// takes for app, config, steps, scale, seed, plan, max_cycles and
+// expect. app, config and plan are required; a missing scale= means 1,
+// and the scenario is validated like a parsed document.
+func ParseLine(line string) (*Scenario, error) {
+	sc := &Scenario{Name: lineName, Scale: 1, WallTol: 0.5}
+	hasPlan := false
+	for _, field := range strings.Fields(line) {
+		key, val, ok := strings.Cut(field, "=")
+		if !ok {
+			return nil, fmt.Errorf("scenario line: field %q is not key=value", field)
+		}
+		known, err := sc.setField(key, val)
+		if !known {
+			err = fmt.Errorf("unknown key")
+		}
+		if err != nil {
+			return nil, fmt.Errorf("scenario line: field %q: %w", field, err)
+		}
+		hasPlan = hasPlan || key == "plan"
+	}
+	switch {
+	case sc.App == "":
+		return nil, fmt.Errorf("scenario line %q: missing app=", line)
+	case sc.Config == "":
+		return nil, fmt.Errorf("scenario line %q: missing config=", line)
+	case !hasPlan:
+		return nil, fmt.Errorf("scenario line %q: missing plan=", line)
+	}
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// Line renders the scenario's canonical one-line form (see the package
+// comment). A scenario whose app has no single-line source — an inline
+// workload document — has none: rendering it would replay a different
+// run, so Line returns an error instead.
+func (sc *Scenario) Line() (string, error) {
+	src := sc.App
+	if src == "" {
+		src = sc.Workload
+	}
+	if src == "" || strings.IndexFunc(src, unicode.IsSpace) >= 0 {
+		return "", fmt.Errorf("scenario %s: its workload has no one-line form", sc.Name)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "app=%s config=%s steps=%d seed=%d plan=%s",
+		src, sc.Config, sc.Steps, sc.Seed, sc.Plan)
+	if f := sc.ScaleFactor(); f != 1 {
+		fmt.Fprintf(&b, " scale=%d", f)
+	}
+	if sc.MaxCycles != 0 {
+		fmt.Fprintf(&b, " max_cycles=%d", sc.MaxCycles)
+	}
+	if e := sc.Expectation(); e != ExpectOK {
+		fmt.Fprintf(&b, " expect=%s", e)
+	}
+	return b.String(), nil
+}
+
+// String labels the scenario in logs and error messages: its name, or
+// the line itself for a scenario parsed from one.
+func (sc *Scenario) String() string {
+	if sc.Name == lineName {
+		if line, err := sc.Line(); err == nil {
+			return line
+		}
+	}
+	return sc.Name
+}
+
+// Document renders the scenario as a .scenario document that Parse
+// reads back to the same scenario: the comment's lines as # lines,
+// then every set field in a fixed key order, the workload block last.
+func (sc *Scenario) Document(comment string) []byte {
+	var b bytes.Buffer
+	if comment != "" {
+		for _, l := range strings.Split(comment, "\n") {
+			fmt.Fprintf(&b, "# %s\n", l)
+		}
+	}
+	kv := func(key string, val any) { fmt.Fprintf(&b, "%s: %v\n", key, val) }
+	kv("name", sc.Name)
+	if sc.App != "" {
+		kv("app", sc.App)
+	}
+	kv("config", sc.Config)
+	if sc.Steps != 0 {
+		kv("steps", sc.Steps)
+	}
+	if sc.Scale != ScaleAuto {
+		kv("scale", sc.Scale)
+	}
+	if sc.Seed != 0 {
+		kv("seed", sc.Seed)
+	}
+	if len(sc.Plan) > 0 {
+		kv("plan", sc.Plan)
+	}
+	if sc.Parallel != 0 {
+		kv("parallel", sc.Parallel)
+	}
+	if sc.MaxCycles != 0 {
+		kv("max_cycles", sc.MaxCycles)
+	}
+	if e := sc.Expectation(); e != ExpectOK {
+		kv("expect", e)
+	}
+	if sc.Pathology != "" {
+		kv("pathology", sc.Pathology)
+	}
+	if sc.WallTol != 0.5 {
+		kv("wall_tol", strconv.FormatFloat(sc.WallTol, 'g', -1, 64))
+	}
+	if len(sc.Metrics) > 0 {
+		b.WriteString("metrics:\n")
+		for _, m := range sc.Metrics {
+			fmt.Fprintf(&b, "  - %s\n", m)
+		}
+	}
+	switch {
+	case strings.Contains(sc.Workload, "\n"):
+		b.WriteString("workload:\n")
+		for _, l := range strings.Split(strings.TrimRight(sc.Workload, "\n"), "\n") {
+			if l != "" {
+				b.WriteString("  ")
+				b.WriteString(l)
+			}
+			b.WriteByte('\n')
+		}
+	case sc.Workload != "":
+		kv("workload", sc.Workload)
+	}
+	return b.Bytes()
+}
+
+// WithPlan returns a copy of the scenario that runs plan instead,
+// validated against the scenario's configuration.
+func (sc *Scenario) WithPlan(plan faults.Plan) (*Scenario, error) {
+	if err := plan.Validate(sc.cfg); err != nil {
+		return nil, fmt.Errorf("scenario %s: plan: %w", sc.Name, err)
+	}
+	c := *sc
+	c.Plan = plan
+	return &c, nil
+}
+
+// FromRun returns the scenario that re-runs one cedar run bit for bit:
+// source on cfg under opts, unscaled, with the kernel seed resolved
+// (so the scenario keeps reproducing the run even if the default seed
+// derivation changes) and expect the outcome to declare. source is the
+// app's single-line source (a registry name or gen: spec) or its
+// workload document text, which the scenario carries as a workload:
+// block. A run the scenario cannot describe — a custom machine, or
+// options it has no key for — is an error, never a scenario that
+// would replay something else.
+func FromRun(name, source string, cfg arch.Config, opts cedar.Options, expect string) (*Scenario, error) {
+	if fam, ok := arch.FamilyByName(cfg.Name); !ok || fam != cfg {
+		return nil, fmt.Errorf("scenario %s: configuration %s is not a named family member", name, cfg.Name)
+	}
+	if opts.XdoallChunk > 1 || opts.TreeFanout > 1 || opts.Costs != nil ||
+		opts.SamplerInterval != 0 || opts.WatchdogInterval != 0 {
+		return nil, fmt.Errorf("scenario %s: chunking, tree barriers, cost, sampler and watchdog overrides have no scenario key", name)
+	}
+	sc := &Scenario{Name: name, Config: cfg.Name, Steps: opts.Steps, Scale: 1,
+		Plan: opts.Faults, MaxCycles: int64(opts.MaxCycles), WallTol: 0.5}
+	if expect != ExpectOK {
+		sc.Expect = expect
+	}
+	if strings.Contains(source, "\n") {
+		sc.Workload = source
+	} else {
+		sc.App = source
+	}
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	sc.Seed = opts.KernelSeed(sc.app, cfg)
+	return sc, nil
 }
 
 func nonNegInt(val string) (int, error) {
@@ -365,10 +622,10 @@ func metricNames() []string {
 	return names
 }
 
-// validate checks the parsed scenario against the live registries,
-// resolving the app and configuration exactly once (Resolve reuses
-// them).
-func (sc *Scenario) validate() error {
+// Validate checks the scenario against the live registries, resolving
+// the app and configuration exactly once (Resolve reuses them). Parse
+// and ParseLine call it; a scenario built in code must too.
+func (sc *Scenario) Validate() error {
 	switch {
 	case sc.Name == "":
 		return fmt.Errorf("scenario missing name")
@@ -389,7 +646,11 @@ func (sc *Scenario) validate() error {
 	// jobs), so it must stay self-contained.
 	app, err := (perfect.Resolver{}).Resolve(src)
 	if err != nil {
-		return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		key := "app"
+		if sc.Workload != "" {
+			key = "workload"
+		}
+		return fmt.Errorf("scenario %s: %s: %w", sc.Name, key, err)
 	}
 	sc.app = app
 	cfg, ok := arch.FamilyByName(sc.Config)
@@ -398,7 +659,7 @@ func (sc *Scenario) validate() error {
 	}
 	sc.cfg = cfg
 	if err := sc.Plan.Validate(cfg); err != nil {
-		return fmt.Errorf("scenario %s: %w", sc.Name, err)
+		return fmt.Errorf("scenario %s: plan: %w", sc.Name, err)
 	}
 	return nil
 }

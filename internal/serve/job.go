@@ -12,7 +12,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/perfect"
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
@@ -89,8 +88,8 @@ type resolved struct {
 	cfg       arch.Config
 	cfgs      []arch.Config
 	plan      faults.Plan
-	scenario  replay.Scenario
-	scenarios []replay.Scenario
+	scenario  *scenario.Scenario
+	scenarios []*scenario.Scenario
 	bench     *scenario.Scenario
 }
 
@@ -139,23 +138,17 @@ func (sp *JobSpec) Validate() (resolved, error) {
 			r.cfgs = append(r.cfgs, cfg)
 		}
 	case TypeReplay:
-		if r.scenario, err = replay.Parse(sp.Scenario); err != nil {
-			return r, err
-		}
-		if _, _, err = lookup(r.scenario.App, r.scenario.Config); err != nil {
-			return r, err
+		if r.scenario, err = scenario.ParseLine(sp.Scenario); err != nil {
+			return r, fmt.Errorf("replay: %w", err)
 		}
 	case TypeCorpus:
 		if len(sp.Corpus) == 0 {
 			return r, fmt.Errorf("corpus job without scenario lines")
 		}
 		for i, line := range sp.Corpus {
-			sc, perr := replay.Parse(line)
+			sc, perr := scenario.ParseLine(line)
 			if perr != nil {
 				return r, fmt.Errorf("corpus line %d: %w", i+1, perr)
-			}
-			if _, _, err = lookup(sc.App, sc.Config); err != nil {
-				return r, fmt.Errorf("corpus line %d: %w", i+1, err)
 			}
 			r.scenarios = append(r.scenarios, sc)
 		}
@@ -190,19 +183,6 @@ func (sp *JobSpec) Validate() (resolved, error) {
 	return r, nil
 }
 
-// isInterrupted reports an error caused by the service stopping a run
-// from outside the model — context cancellation or an expired attempt
-// deadline, usually surfaced as the kernel's *sim.CanceledError — as
-// opposed to an outcome of the simulation itself. Interrupted attempts
-// must bail out with the raw error so the retry/cancel machinery can
-// classify them; mapping them through cedar.Outcome would let a
-// truncated run masquerade as a real (and cacheable) result.
-func isInterrupted(err error) bool {
-	return errors.Is(err, sim.ErrCanceled) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
 // resolveApp resolves a spec's workload source: the App name (or
 // single-line gen: spec) or the Workload document, exactly one of
 // which must be set. File sources are rejected (Resolver.AllowFiles
@@ -219,15 +199,6 @@ func (sp *JobSpec) resolveApp() (perfect.App, error) {
 		src = sp.Workload
 	}
 	return (perfect.Resolver{}).Resolve(src)
-}
-
-func lookup(appName, cfgName string) (perfect.App, arch.Config, error) {
-	app, err := (perfect.Resolver{}).Resolve(appName)
-	if err != nil {
-		return app, arch.Config{}, err
-	}
-	cfg, err := lookupConfig(cfgName)
-	return app, cfg, err
 }
 
 func lookupConfig(cfgName string) (arch.Config, error) {
@@ -267,6 +238,17 @@ func (sp *JobSpec) cacheKey(version string) resultcache.Key {
 		k.Steps, k.Seed = 0, 0
 	}
 	return k
+}
+
+// budgeted returns the scenario a replay or corpus job runs: the
+// parsed line, with the spec's cycle budget when it sets one.
+func (sp *JobSpec) budgeted(sc *scenario.Scenario) *scenario.Scenario {
+	if sp.MaxCycles == 0 {
+		return sc
+	}
+	c := *sc
+	c.MaxCycles = sp.MaxCycles
+	return &c
 }
 
 // options builds the facade options a spec implies.
@@ -322,27 +304,16 @@ func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string
 		return []byte(b.String()), nil
 
 	case TypeReplay:
-		sc := r.scenario
-		app, cfg, err := lookup(sc.App, sc.Config)
+		// The result names the canonical line as submitted; the spec's
+		// cycle budget runs alongside it.
+		line, _ := r.scenario.Line()
+		run, outcome, err := scenario.Check(ctx, sp.budgeted(r.scenario))
 		if err != nil {
 			return nil, err
 		}
-		opts := cedar.Options{Steps: sc.Steps, Seed: sc.Seed, Faults: sc.Plan,
-			MaxCycles: simTime(sp.MaxCycles)}
-		run, err := cedar.SimulateRunCtx(ctx, app, cfg, opts)
-		if err != nil && isInterrupted(err) {
-			// Cancellation or a deadline stopped the attempt; that is
-			// never a simulation outcome, however the scenario's
-			// expectation reads.
-			return nil, err
-		}
-		outcome := cedar.Outcome(err)
-		if want := sc.Expectation(); outcome != want {
-			return nil, fmt.Errorf("scenario %q: outcome %s, want %s", sc, outcome, want)
-		}
-		progress(fmt.Sprintf("replayed %s: outcome %s", sc, outcome))
+		progress(fmt.Sprintf("replayed %s: outcome %s", line, outcome))
 		var b strings.Builder
-		fmt.Fprintf(&b, "scenario %s\noutcome %s\n", sc, outcome)
+		fmt.Fprintf(&b, "scenario %s\noutcome %s\n", line, outcome)
 		if run != nil {
 			b.WriteString(run.StatfxText())
 		}
@@ -354,25 +325,18 @@ func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string
 			err  error
 		}
 		results, err := engine.MapCtx(ctx, sp.Parallel, r.scenarios,
-			func(ctx context.Context, i int, sc replay.Scenario) out {
-				app, cfg, lerr := lookup(sc.App, sc.Config)
-				if lerr != nil {
-					return out{err: lerr}
+			func(ctx context.Context, i int, sc *scenario.Scenario) out {
+				line, _ := sc.Line()
+				_, outcome, cerr := scenario.Check(ctx, sp.budgeted(sc))
+				if cerr != nil && !errors.Is(cerr, scenario.ErrExpectation) {
+					return out{err: cerr}
 				}
-				run, rerr := cedar.SimulateRunCtx(ctx, app, cfg,
-					cedar.Options{Steps: sc.Steps, Seed: sc.Seed, Faults: sc.Plan,
-						MaxCycles: simTime(sp.MaxCycles)})
-				if rerr != nil && isInterrupted(rerr) {
-					return out{err: rerr}
-				}
-				outcome := cedar.Outcome(rerr)
-				_ = run
 				status := "ok"
-				if outcome != sc.Expectation() {
+				if cerr != nil {
 					status = fmt.Sprintf("FAIL (outcome %s, want %s)", outcome, sc.Expectation())
 				}
 				progress(fmt.Sprintf("corpus %d/%d: %s", i+1, len(r.scenarios), status))
-				return out{line: fmt.Sprintf("%s %s", status, sc)}
+				return out{line: fmt.Sprintf("%s %s", status, line)}
 			})
 		if err != nil {
 			return nil, err

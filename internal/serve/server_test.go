@@ -20,7 +20,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/perfect"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // fastCfg is a test server configuration with tiny backoffs so retry
@@ -142,7 +141,7 @@ func metricsText(t *testing.T, ts *httptest.Server) string {
 	return string(raw)
 }
 
-// metricLine is how the PromSet renders one sample for this service.
+// metricLine is how /metrics renders one sample for this service.
 func metricLine(name string, value string) string {
 	return name + `{service="cedarserved"} ` + value
 }
@@ -819,34 +818,8 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// Attempts stopped from outside the model — cancellation or a
-// deadline, bare or wrapped in the kernel's CanceledError — must never
-// be classified as simulation outcomes; real in-model terminations
-// must.
-func TestIsInterruptedClassification(t *testing.T) {
-	for _, err := range []error{
-		&sim.CanceledError{At: 5, Cause: context.DeadlineExceeded},
-		&sim.CanceledError{At: 5, Cause: context.Canceled},
-		context.Canceled,
-		fmt.Errorf("attempt deadline 40ms exceeded: %w", context.DeadlineExceeded),
-	} {
-		if !isInterrupted(err) {
-			t.Errorf("isInterrupted(%v) = false, want true", err)
-		}
-	}
-	for _, err := range []error{
-		&sim.DeadlockError{At: 1, Live: 2},
-		&sim.CycleBudgetError{Budget: 10, Now: 10, Live: 1},
-		errors.New("model blew up"),
-	} {
-		if isInterrupted(err) {
-			t.Errorf("isInterrupted(%v) = true, want false", err)
-		}
-	}
-}
-
 // A deadline-expired replay attempt surfaces its raw error for the
-// retry machinery instead of being mapped through cedar.Outcome —
+// retry machinery instead of being mapped through scenario.Outcome —
 // otherwise an expect=error scenario would accept the truncated run as
 // a success and cache its payload.
 func TestReplayInterruptedIsNotAnOutcome(t *testing.T) {
@@ -974,6 +947,75 @@ func TestMetricsEndpointsAndJobSnapshot(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "serve_jobs_submitted_total,counter,,,,1\n") {
 		t.Fatalf("/metrics.csv missing submitted counter:\n%s", raw)
+	}
+}
+
+// /metrics renders every service instrument in the Prometheus text
+// exposition format, labeled with the service, in registration order.
+func TestMetricsExposition(t *testing.T) {
+	cfg := fastCfg()
+	cfg.CacheDir = t.TempDir()
+	s, ts := newTestServer(t, cfg, nil)
+	s.met.retries.Add(3)
+	s.met.drainSeconds.Set(2.5)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("/metrics content type %q", ct)
+	}
+	out := string(raw)
+	last := -1
+	for _, want := range []string{
+		"# TYPE cedar_serve_queue_depth gauge",
+		metricLine("cedar_serve_queue_depth", "0"),
+		"# TYPE cedar_serve_retries_total counter",
+		metricLine("cedar_serve_retries_total", "3"),
+		"# TYPE cedar_serve_drain_seconds gauge",
+		metricLine("cedar_serve_drain_seconds", "2.5"),
+		"# TYPE cedar_serve_cache_hits_total counter",
+		metricLine("cedar_serve_cache_hits_total", "0"),
+	} {
+		at := strings.Index(out, want)
+		if at < 0 {
+			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+		if at < last {
+			t.Fatalf("%q out of registration order:\n%s", want, out)
+		}
+		last = at
+	}
+}
+
+// Instruments update and /metrics renders concurrently without races
+// or lost counts.
+func TestMetricsConcurrent(t *testing.T) {
+	s, ts := newTestServer(t, fastCfg(), nil)
+	done := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for j := 0; j < 50; j++ {
+				s.met.retries.Inc()
+				s.met.drainSeconds.Set(float64(j))
+				if resp, err := http.Get(ts.URL + "/metrics"); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		<-done
+	}
+	if got := s.met.retries.Value(); got != 200 {
+		t.Fatalf("retries counter = %d, want 200", got)
+	}
+	if !strings.Contains(metricsText(t, ts), metricLine("cedar_serve_retries_total", "200")) {
+		t.Fatal("/metrics lost concurrent counts")
 	}
 }
 

@@ -91,13 +91,13 @@ func BenchmarkKernelManyProcs(b *testing.B) {
 // behind every memory-module and network-port booking: it must stay a
 // handful of arithmetic ops and 0 allocs/op.
 func BenchmarkCalendarReserve(b *testing.B) {
-	c := NewCalendar("module")
+	c := NewCalendarStore(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var at Time
 	for i := 0; i < b.N; i++ {
 		// Alternate contended and idle arrivals.
-		_, end := c.Reserve(at, 3)
+		_, end := c.Reserve(0, at, 3)
 		if i%2 == 0 {
 			at = end + 2
 		}

@@ -226,36 +226,46 @@ func TestCondWaitTimeoutSignaledFirst(t *testing.T) {
 	}
 }
 
+// The calendar properties below hold for every entry of a
+// CalendarStore; each test books entry 1 of a three-entry store and
+// checks its neighbours stay untouched.
+
 func TestCalendarBackToBack(t *testing.T) {
-	c := NewCalendar("m")
-	s1, e1 := c.Reserve(0, 10)
-	s2, e2 := c.Reserve(0, 10)
+	c := NewCalendarStore(3)
+	s1, e1 := c.Reserve(1, 0, 10)
+	s2, e2 := c.Reserve(1, 0, 10)
 	if s1 != 0 || e1 != 10 || s2 != 10 || e2 != 20 {
 		t.Fatalf("reservations: [%d,%d] [%d,%d]", s1, e1, s2, e2)
 	}
-	if c.DelayTotal() != 10 || c.Delayed() != 1 {
-		t.Fatalf("delay=%d delayed=%d", c.DelayTotal(), c.Delayed())
+	if c.DelayTotal(1) != 10 || c.Delayed(1) != 1 || c.Reservations(1) != 2 {
+		t.Fatalf("delay=%d delayed=%d reservations=%d", c.DelayTotal(1), c.Delayed(1), c.Reservations(1))
+	}
+	if c.FreeAt(0) != 0 || c.FreeAt(2) != 0 || c.Reservations(0)+c.Reservations(2) != 0 {
+		t.Fatal("booking entry 1 touched its neighbours")
 	}
 }
 
 func TestCalendarIdleGap(t *testing.T) {
-	c := NewCalendar("m")
-	c.Reserve(0, 10)
-	s, e := c.Reserve(100, 5)
+	c := NewCalendarStore(3)
+	c.Reserve(1, 0, 10)
+	s, e := c.Reserve(1, 100, 5)
 	if s != 100 || e != 105 {
 		t.Fatalf("gap reservation at [%d,%d], want [100,105]", s, e)
 	}
-	if c.DelayTotal() != 0 {
-		t.Fatalf("idle-gap reservation recorded delay %d", c.DelayTotal())
+	if c.DelayTotal(1) != 0 {
+		t.Fatalf("idle-gap reservation recorded delay %d", c.DelayTotal(1))
 	}
 }
 
 func TestCalendarUtilization(t *testing.T) {
-	c := NewCalendar("m")
-	c.Reserve(0, 25)
-	c.Reserve(50, 25)
-	if got := c.Utilization(100); got != 0.5 {
+	c := NewCalendarStore(3)
+	c.Reserve(1, 0, 25)
+	c.Reserve(1, 50, 25)
+	if got := c.Utilization(1, 100); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)
+	}
+	if got := c.Utilization(1, 0); got != 0 {
+		t.Fatalf("utilization at time 0 = %v, want 0", got)
 	}
 }
 
@@ -266,12 +276,12 @@ func TestQuickCalendarNoOverlap(t *testing.T) {
 		At   uint16
 		Busy uint8
 	}) bool {
-		c := NewCalendar("m")
+		c := NewCalendarStore(3)
 		var at Time
 		prevEnd := Time(0)
 		for _, r := range raw {
 			at += Time(r.At % 64) // non-decreasing request times
-			s, e := c.Reserve(at, Duration(r.Busy))
+			s, e := c.Reserve(1, at, Duration(r.Busy))
 			if s < at || s < prevEnd || e != s+Duration(r.Busy) {
 				return false
 			}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/perfect"
 )
 
@@ -55,17 +54,6 @@ func TestSweepsParallelByteIdentical(t *testing.T) {
 	}
 }
 
-func TestSweepConfigsParallelByteIdentical(t *testing.T) {
-	cfgs := []arch.Config{arch.Cedar1, arch.Cedar8, arch.Cedar32}
-	seq := SweepConfigs(perfect.OCEAN(), cfgs, Options{Steps: 1, Parallel: 1})
-	par := SweepConfigs(perfect.OCEAN(), cfgs, Options{Steps: 1, Parallel: 3})
-	a := renderSweeps([]*core.Sweep{seq})
-	b := renderSweeps([]*core.Sweep{par})
-	if a != b {
-		t.Fatalf("SweepConfigs output differs between sequential and parallel paths")
-	}
-}
-
 func TestFaultSweepParallelByteIdentical(t *testing.T) {
 	plans := []faults.Plan{
 		mustPlan(t, "ce:5@1e5"),
@@ -101,32 +89,6 @@ func TestFaultSweepParallelByteIdentical(t *testing.T) {
 	}
 }
 
-func TestCheckCorpusParallelMatchesSequential(t *testing.T) {
-	entries, err := replay.LoadCorpus("testdata/faultcorpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Skip("empty corpus")
-	}
-	seq := CheckCorpus(entries, 1)
-	par := CheckCorpus(entries, 4)
-	if len(seq) != len(entries) || len(par) != len(entries) {
-		t.Fatalf("result counts: seq %d, par %d, want %d", len(seq), len(par), len(entries))
-	}
-	for i := range entries {
-		if seq[i].Entry.Scenario.String() != entries[i].Scenario.String() {
-			t.Fatalf("entry %d: results not in corpus order", i)
-		}
-		if seq[i].Err != nil {
-			t.Fatalf("entry %d (%s:%d): %v", i, seq[i].Entry.File, seq[i].Entry.Line, seq[i].Err)
-		}
-		if par[i].Err != nil {
-			t.Fatalf("entry %d (%s:%d) parallel: %v", i, par[i].Entry.File, par[i].Entry.Line, par[i].Err)
-		}
-	}
-}
-
 // TestParallelSweepSpeedup is the benchmark job's wall-clock gate: the
 // full five-application paper sweep at -parallel 4 must run at least
 // twice as fast as at -parallel 1. Timing whole sweeps on shared CI
@@ -142,9 +104,9 @@ func TestParallelSweepSpeedup(t *testing.T) {
 	}
 	timeIt := func(parallel int) time.Duration {
 		start := time.Now()
-		sweeps := AllSweeps(Options{Parallel: parallel})
+		sweeps := Sweeps(perfect.Apps(), Options{Parallel: parallel})
 		if len(sweeps) != len(perfect.Apps()) {
-			t.Fatalf("AllSweeps returned %d sweeps", len(sweeps))
+			t.Fatalf("Sweeps returned %d sweeps", len(sweeps))
 		}
 		return time.Since(start)
 	}

@@ -1,40 +1,47 @@
-package cedar
+package cedar_test
+
+// End-to-end tests of the record/replay contract through the facade:
+// a scenario pins everything a run depends on, and re-running it
+// reproduces the run bit for bit (internal/scenario is the runner).
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/faults"
-	"repro/internal/faults/replay"
 	"repro/internal/perfect"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
 const corpusDir = "testdata/faultcorpus"
+
+func loadCorpus(t *testing.T) []*scenario.Scenario {
+	t.Helper()
+	scs, err := scenario.LoadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scs
+}
 
 // TestCorpusReplay replays every checked-in scenario and verifies its
 // declared outcome. This is the regression suite for the fail-stop
 // page-fault deadlock: the ROADMAP schedule lives here and must keep
 // completing.
 func TestCorpusReplay(t *testing.T) {
-	entries, err := replay.LoadCorpus(corpusDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatalf("corpus %s is empty; the regression scenarios are gone", corpusDir)
-	}
 	sawRoadmap := false
-	for _, e := range entries {
-		e := e
-		t.Run(e.Scenario.Plan.String(), func(t *testing.T) {
-			if _, err := CheckScenario(e.Scenario); err != nil {
-				t.Errorf("%s:%d: %v", e.File, e.Line, err)
+	for _, sc := range loadCorpus(t) {
+		t.Run(sc.Plan.String(), func(t *testing.T) {
+			if _, _, err := scenario.Check(context.Background(), sc); err != nil {
+				t.Errorf("%s: %v", sc.File, err)
 			}
 		})
-		if e.Scenario.Plan.String() == "ce:4x1.25@47085,ce:1@76414,module:3x2@23648" {
+		if sc.Plan.String() == "ce:4x1.25@47085,ce:1@76414,module:3x2@23648" {
 			sawRoadmap = true
 		}
 	}
@@ -46,17 +53,17 @@ func TestCorpusReplay(t *testing.T) {
 // TestReplayBitIdentical: replaying the same scenario twice must
 // produce byte-identical statfx output — the record/replay contract.
 func TestReplayBitIdentical(t *testing.T) {
-	sc, err := replay.Parse(
+	sc, err := scenario.ParseLine(
 		"app=FLO52 config=8proc steps=1 seed=3327910339796038169 " +
 			"plan=ce:4x1.25@47085,ce:1@76414,module:3x2@23648")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ReplayErr(sc)
+	a, _, err := scenario.Check(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("first replay: %v", err)
 	}
-	b, err := ReplayErr(sc)
+	b, _, err := scenario.Check(context.Background(), sc)
 	if err != nil {
 		t.Fatalf("second replay: %v", err)
 	}
@@ -70,120 +77,101 @@ func TestReplayBitIdentical(t *testing.T) {
 }
 
 func TestRecordScenarioRoundTrip(t *testing.T) {
-	plan := mustPlan(t, "ce:1@76414,module:3x2@23648")
-	sc := RecordScenario(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan})
-	if sc.Seed == 0 {
-		t.Fatal("recorded scenario left the seed unresolved")
-	}
-	parsed, err := replay.Parse(sc.String())
-	if err != nil {
-		t.Fatalf("recorded line does not parse: %v", err)
-	}
-	if parsed.String() != sc.String() {
-		t.Fatalf("record/parse round trip unstable:\n%s\n%s", sc, parsed)
-	}
-	// An explicit seed is recorded verbatim.
-	sc2 := RecordScenario(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Seed: 77, Faults: plan})
-	if sc2.Seed != 77 {
-		t.Fatalf("explicit seed not recorded: %d", sc2.Seed)
-	}
-	// The recorded scenario replays to the same run as the original call.
-	orig, err := SimulateRunErr(perfect.FLO52(), arch.Cedar8, Options{Steps: 1, Faults: plan})
+	plan, err := faults.Parse("ce:1@76414,module:3x2@23648")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayErr(sc)
+	opts := cedar.Options{Steps: 1, Faults: plan}
+	sc, err := scenario.FromRun("rec", "FLO52", arch.Cedar8, opts, scenario.ExpectOK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Seed == 0 {
+		t.Fatal("recorded scenario left the seed unresolved")
+	}
+	line, err := sc.Line()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := scenario.ParseLine(line)
+	if err != nil {
+		t.Fatalf("recorded line does not parse: %v", err)
+	}
+	if again, _ := parsed.Line(); again != line {
+		t.Fatalf("record/parse round trip unstable:\n%s\n%s", line, again)
+	}
+	doc, err := scenario.Parse("fallback", sc.Document(""))
+	if err != nil {
+		t.Fatalf("recorded document does not parse: %v", err)
+	}
+	if again, _ := doc.Line(); again != line {
+		t.Fatalf("document round trip changed the run:\n%s\n%s", line, again)
+	}
+	// An explicit seed is recorded verbatim.
+	opts.Seed = 77
+	sc2, err := scenario.FromRun("rec", "FLO52", arch.Cedar8, opts, scenario.ExpectOK)
+	if err != nil || sc2.Seed != 77 {
+		t.Fatalf("explicit seed not recorded: %v, %v", sc2, err)
+	}
+	// The recorded scenario replays to the same run as the original call.
+	orig, err := cedar.SimulateRunErr(perfect.FLO52(), arch.Cedar8, cedar.Options{Steps: 1, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := scenario.Check(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if orig.StatfxText() != rep.StatfxText() {
 		t.Fatal("replaying the recorded scenario diverged from the original run")
 	}
+	// Options a scenario has no key for are refused, never dropped.
+	if _, err := scenario.FromRun("rec", "FLO52", arch.Cedar8,
+		cedar.Options{Steps: 1, XdoallChunk: 4}, scenario.ExpectOK); err == nil {
+		t.Fatal("recording dropped the chunking option")
+	}
 }
 
 func TestOutcomeClassification(t *testing.T) {
-	if got := Outcome(nil); got != replay.ExpectOK {
+	if got := scenario.Outcome(nil); got != scenario.ExpectOK {
 		t.Fatalf("Outcome(nil) = %q", got)
 	}
-	if got := Outcome(sim.ErrDeadlock); got != replay.ExpectDeadlock {
+	if got := scenario.Outcome(sim.ErrDeadlock); got != scenario.ExpectDeadlock {
 		t.Fatalf("Outcome(ErrDeadlock) = %q", got)
 	}
-	if got := Outcome(errors.New("boom")); got != replay.ExpectError {
+	if got := scenario.Outcome(errors.New("boom")); got != scenario.ExpectError {
 		t.Fatalf("Outcome(err) = %q", got)
 	}
 }
 
-func TestFaultWindowsFound(t *testing.T) {
-	ws, err := FaultWindows(perfect.FLO52(), arch.Cedar8, Options{Steps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) == 0 {
-		t.Fatal("no page-fault windows observed on a healthy run")
-	}
-	for i, w := range ws {
-		if w.End < w.Start {
-			t.Fatalf("window %d inverted: %+v", i, w)
-		}
-		if i > 0 && w.Start <= ws[i-1].End {
-			t.Fatalf("windows %d and %d not disjoint ascending: %+v %+v", i-1, i, ws[i-1], w)
-		}
-	}
-	// The ROADMAP kill time must land inside a discovered window — the
-	// fuzzer aims where the bug actually was.
-	const roadmapKill = sim.Time(76_414)
-	hit := false
-	for _, w := range ws {
-		if roadmapKill >= w.Start && roadmapKill <= w.End {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatalf("kill time %d outside every window %v", roadmapKill, ws)
-	}
-}
-
-// TestShrinkErrDeadlock shrinks the kill-the-main-cluster deadlock and
-// verifies the minimized scenario still deadlocks.
-func TestShrinkErrDeadlock(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shrinking replays the deadlock watchdog repeatedly")
-	}
-	var plan faults.Plan
-	for ce := 0; ce < arch.Cedar16.CEsPerCluster; ce++ {
-		plan = append(plan, faults.Event{Kind: faults.CEFail, Target: ce, At: 50_000})
-	}
-	sc := RecordScenario(perfect.FLO52(), arch.Cedar16, Options{Steps: 1, Faults: plan})
-	shrunk, runs, err := ShrinkErr(sc, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs < 2 {
-		t.Fatalf("shrinker spent only %d runs", runs)
-	}
-	if shrunk.Expect != replay.ExpectDeadlock {
-		t.Fatalf("shrunk expectation %q, want deadlock", shrunk.Expect)
-	}
-	if len(shrunk.Plan) > len(sc.Plan) {
-		t.Fatalf("shrinking grew the plan: %d -> %d events", len(sc.Plan), len(shrunk.Plan))
-	}
-	if _, err := CheckScenario(shrunk); err != nil {
-		t.Fatalf("shrunk scenario no longer deadlocks: %v", err)
-	}
-	// A clean scenario refuses to shrink.
-	ok := RecordScenario(perfect.FLO52(), arch.Cedar8,
-		Options{Steps: 1, Faults: mustPlan(t, "ce:5@1e5")})
-	if _, _, err := ShrinkErr(ok, 8); err == nil {
-		t.Fatal("shrinking a clean scenario did not error")
-	}
-}
-
 func TestReplayUnknownNames(t *testing.T) {
-	plan := mustPlan(t, "ce:1@500")
-	if _, err := ReplayErr(replay.Scenario{App: "NOPE", Config: "8proc", Plan: plan}); err == nil {
+	if _, err := scenario.ParseLine("app=NOPE config=8proc plan=ce:1@500"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, err := ReplayErr(replay.Scenario{App: "FLO52", Config: "9000proc", Plan: plan}); err == nil {
+	if _, err := scenario.ParseLine("app=FLO52 config=9000proc plan=ce:1@500"); err == nil {
 		t.Fatal("unknown config accepted")
+	}
+}
+
+func TestReplayParallelMatchesSequential(t *testing.T) {
+	scs := loadCorpus(t)
+	seq := scenario.Replay(scs, 1)
+	par := scenario.Replay(scs, 4)
+	if len(seq) != len(scs) || len(par) != len(scs) {
+		t.Fatalf("result counts: seq %d, par %d, want %d", len(seq), len(par), len(scs))
+	}
+	for i := range scs {
+		if seq[i].Scenario != scs[i] || par[i].Scenario != scs[i] {
+			t.Fatalf("entry %d: results not in corpus order", i)
+		}
+		if seq[i].Err != nil {
+			t.Fatalf("entry %d (%s): %v", i, scs[i].File, seq[i].Err)
+		}
+		if par[i].Err != nil {
+			t.Fatalf("entry %d (%s) parallel: %v", i, scs[i].File, par[i].Err)
+		}
+		if seq[i].Run != nil && seq[i].Run.StatfxText() != par[i].Run.StatfxText() {
+			t.Fatalf("entry %d (%s): accounting differs between sequential and parallel", i, scs[i].File)
+		}
 	}
 }

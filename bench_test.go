@@ -40,11 +40,7 @@ var (
 
 func paperSweeps(b *testing.B) []*core.Sweep {
 	b.Helper()
-	sweepOnce.Do(func() {
-		for _, app := range perfect.Apps() {
-			sweeps = append(sweeps, Sweep(app, Options{}))
-		}
-	})
+	sweepOnce.Do(func() { sweeps = Sweeps(perfect.Apps(), Options{}) })
 	return sweeps
 }
 
@@ -129,7 +125,7 @@ func BenchmarkTable4_ContentionOverhead(b *testing.B) {
 // regenerating the paper's columns from scratch.
 func BenchmarkEndToEnd_FLO52Sweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := Sweep(perfect.FLO52(), Options{})
+		s := Sweeps([]perfect.App{perfect.FLO52()}, Options{})[0]
 		if s.Results[32].CT == 0 {
 			b.Fatal("no completion time")
 		}
@@ -167,8 +163,8 @@ func BenchmarkAblation_Clustering(b *testing.B) {
 		b.Run(app.Name, func(b *testing.B) {
 			var ctC, ctF float64
 			for i := 0; i < b.N; i++ {
-				clustered := Simulate(app, arch.Cedar32, Options{})
-				flat := Simulate(app, arch.Unclustered32, Options{})
+				clustered := mustRun(b, app, arch.Cedar32, Options{}).Result
+				flat := mustRun(b, app, arch.Unclustered32, Options{}).Result
 				ctC = float64(clustered.CT)
 				ctF = float64(flat.CT)
 			}
@@ -194,7 +190,7 @@ func BenchmarkAblation_CombiningTree(b *testing.B) {
 			var ct float64
 			var hot float64
 			for i := 0; i < b.N; i++ {
-				run := SimulateRun(app, arch.Unclustered32, Options{TreeFanout: fanout})
+				run := mustRun(b, app, arch.Unclustered32, Options{TreeFanout: fanout})
 				ct = float64(run.Result.CT)
 				_, d := run.Machine.GM.Net().MaxPortDelay()
 				hot = float64(d)
@@ -229,8 +225,8 @@ func BenchmarkAblation_LoopMerging(b *testing.B) {
 	}.App()
 	var ctSplit, ctMerged, bwSplit, bwMerged float64
 	for i := 0; i < b.N; i++ {
-		rs := Simulate(split, arch.Cedar32, Options{})
-		rm := Simulate(merged, arch.Cedar32, Options{})
+		rs := mustRun(b, split, arch.Cedar32, Options{}).Result
+		rm := mustRun(b, merged, arch.Cedar32, Options{}).Result
 		ctSplit, ctMerged = float64(rs.CT), float64(rm.CT)
 		bwSplit = rs.Task(0).Barrier + rs.Task(1).HelperWait
 		bwMerged = rm.Task(0).Barrier + rm.Task(1).HelperWait
@@ -270,8 +266,8 @@ func BenchmarkAblation_XdoallVsSdoall(b *testing.B) {
 		b.Run(cfg.Name, func(b *testing.B) {
 			var pickS, pickX, ctS, ctX float64
 			for i := 0; i < b.N; i++ {
-				rs := Simulate(mk(perfect.PhaseSX), cfg, Options{})
-				rx := Simulate(mk(perfect.PhaseX), cfg, Options{})
+				rs := mustRun(b, mk(perfect.PhaseSX), cfg, Options{}).Result
+				rx := mustRun(b, mk(perfect.PhaseX), cfg, Options{}).Result
 				pickS, pickX = pickShare(rs), pickShare(rx)
 				ctS, ctX = float64(rs.CT), float64(rx.CT)
 			}
@@ -304,7 +300,7 @@ func BenchmarkAblation_XdoallChunking(b *testing.B) {
 		b.Run(fmt.Sprintf("chunk%d", chunk), func(b *testing.B) {
 			var ct, pick float64
 			for i := 0; i < b.N; i++ {
-				r := Simulate(app, arch.Cedar32, Options{XdoallChunk: chunk})
+				r := mustRun(b, app, arch.Cedar32, Options{XdoallChunk: chunk}).Result
 				ct = float64(r.CT)
 				pick = pickShare(r)
 			}

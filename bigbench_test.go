@@ -34,7 +34,7 @@ func BenchmarkBigConfig(b *testing.B) {
 	app := perfect.FLO52().Scaled(perfect.ScaleFactorFor(arch.Scaled256.CEs()))
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		run := SimulateRun(app, arch.Scaled256, Options{})
+		run := mustRun(b, app, arch.Scaled256, Options{})
 		if run.Result.CT == 0 {
 			b.Fatal("no completion time")
 		}
@@ -97,7 +97,7 @@ func TestBigConfigSpeedup(t *testing.T) {
 	app := perfect.FLO52().Scaled(perfect.ScaleFactorFor(arch.Scaled256.CEs()))
 	measure := func() float64 {
 		start := time.Now()
-		run := SimulateRun(app, arch.Scaled256, Options{})
+		run := mustRun(t, app, arch.Scaled256, Options{})
 		if run.Result.CT == 0 {
 			t.Fatal("no completion time")
 		}

@@ -2,12 +2,13 @@
 // characterization reproduction (Natarajan, Sharma, Iyer — ISCA 1994).
 //
 // One call simulates an application on a Cedar configuration with full
-// instrumentation and returns the analysis-ready result:
+// instrumentation and returns the analysis-ready result alongside the
+// live simulation objects:
 //
-//	res := cedar.Simulate(perfect.FLO52(), arch.Cedar32, cedar.Options{})
-//	fmt.Println(res.OSShare(), res.Task(0).OverheadFraction())
+//	run, err := cedar.SimulateRunCtx(ctx, perfect.FLO52(), arch.Cedar32, cedar.Options{})
+//	fmt.Println(run.Result.OSShare(), run.Result.Task(0).OverheadFraction())
 //
-// Sweep runs an application across the paper's five configurations and
+// Sweeps runs applications across the paper's five configurations and
 // normalizes reported seconds so the 1-processor completion time
 // matches the paper's Table 1 (the calibration policy in DESIGN.md);
 // every multiprocessor quantity is model output.
@@ -82,22 +83,23 @@ type Options struct {
 	// zero-cost path). The zero obs.Options value gives defaults.
 	Observe *obs.Options
 	// Parallel bounds how many independent simulations the batch
-	// helpers (Sweep, Sweeps, FaultSweep) run concurrently. Zero uses
+	// helpers (Sweeps, FaultSweep) run concurrently. Zero uses
 	// GOMAXPROCS; 1 forces the sequential path. Parallelism is wall-clock only: every
 	// simulation owns its kernel and deterministic seed, and results
 	// are assembled in input order, so batch output is byte-identical
 	// at any setting (see internal/engine).
 	Parallel int
-
-	// cancelFrom is the context the ctx-aware entry point
-	// (SimulateRunCtx) threads into the kernel's interrupt
-	// check. Unexported: plain Simulate paths never pay for it.
-	cancelFrom context.Context
 }
 
 // defaultWatchdog is the deadlock-check period when
 // Options.WatchdogInterval is zero.
 const defaultWatchdog = 10_000_000
+
+// interruptEvery is how many kernel events pass between context checks
+// in a run whose context can be canceled: frequent enough that
+// cancellation lands within microseconds of wall-clock, rare enough to
+// be invisible in the event loop's profile.
+const interruptEvery = 1024
 
 // KernelSeed returns the seed a run of app on cfg under these options
 // starts its kernel with: Seed when set, otherwise a value derived
@@ -112,9 +114,9 @@ func (o Options) KernelSeed(app perfect.App, cfg arch.Config) int64 {
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
-// Run is a Simulate result plus the live simulation objects, for
-// callers (tools, tests) that want to inspect traces or hardware
-// statistics beyond the analysis result.
+// Run is a simulation's analysis result plus the live simulation
+// objects, for callers (tools, tests) that want to inspect traces or
+// hardware statistics beyond the analysis result.
 type Run struct {
 	Result   *core.Result
 	Machine  *cluster.Machine
@@ -132,43 +134,25 @@ type Run struct {
 	regOnce sync.Once
 }
 
-// Simulate runs one application on one configuration and returns the
-// analysis result. The result's Scale is 1 (raw simulated seconds);
-// Sweep sets the paper normalization. It panics on invalid input or a
-// failed simulation; SimulateErr is the error-returning form.
-func Simulate(app perfect.App, cfg arch.Config, opts Options) *core.Result {
-	return SimulateRun(app, cfg, opts).Result
-}
-
-// SimulateErr is Simulate with error reporting instead of panics:
-// invalid apps, configurations, and fault plans come back as errors,
-// and so do simulation failures (sim.ErrDeadlock, sim.ErrCycleBudget,
-// process panics) — check with errors.Is. On a simulation error the
-// returned Run still carries the partial result for inspection.
-func SimulateErr(app perfect.App, cfg arch.Config, opts Options) (*core.Result, error) {
-	run, err := SimulateRunErr(app, cfg, opts)
-	if run == nil {
-		return nil, err
-	}
-	return run.Result, err
-}
-
-// SimulateRun is SimulateRunErr, panicking on error.
-func SimulateRun(app perfect.App, cfg arch.Config, opts Options) *Run {
-	run, err := SimulateRunErr(app, cfg, opts)
-	if err != nil {
-		panic(err)
-	}
-	return run
-}
-
-// SimulateRunErr runs one application on one configuration, applying
+// SimulateRunCtx runs one application on one configuration, applying
 // any fault plan in the options, and returns the live simulation
-// objects alongside the analysis result. Simulation failures are
-// returned as errors; when the simulation itself ran but ended
-// abnormally (deadlock, cycle budget), the Run is returned too, with
-// accounting collected up to the failure point.
-func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error) {
+// objects alongside the analysis result. It is the one function that
+// builds a run. Invalid apps, configurations and fault plans come back
+// as errors, and so do simulation failures (sim.ErrDeadlock,
+// sim.ErrCycleBudget, process panics) — check with errors.Is. When the
+// simulation itself ran but ended abnormally, the Run is returned too,
+// with accounting collected up to the failure point.
+//
+// The kernel checks ctx between events (every interruptEvery
+// dispatches), and a canceled or expired context stops the run with an
+// error matching both sim.ErrCanceled and ctx.Err(). A context that
+// never fires cannot perturb the simulation — the check runs between
+// events, never inside one — and a context whose Done channel is nil
+// (context.Background) arms no check at all.
+func SimulateRunCtx(ctx context.Context, app perfect.App, cfg arch.Config, opts Options) (*Run, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("cedar: not starting %s on %s: %w", app.Name, cfg.Name, err)
+	}
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
@@ -190,17 +174,15 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 	if opts.MaxCycles > 0 {
 		k.SetMaxCycles(opts.MaxCycles)
 	}
-	if ctx := opts.cancelFrom; ctx != nil {
-		if done := ctx.Done(); done != nil {
-			k.SetInterrupt(interruptEvery, func() error {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-					return nil
-				}
-			})
-		}
+	if done := ctx.Done(); done != nil {
+		k.SetInterrupt(interruptEvery, func() error {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+				return nil
+			}
+		})
 	}
 	if opts.WatchdogInterval >= 0 {
 		interval := opts.WatchdogInterval
@@ -278,6 +260,13 @@ func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error
 	run := &Run{Result: res, Machine: m, OS: o, RT: rt, Monitor: mon, Injector: inj,
 		Obs: rec, Series: series, reg: liveReg}
 	return run, err
+}
+
+// SimulateRunErr is SimulateRunCtx without cancellation. It is kept for
+// the hostbench benchmark, whose big-run and paper-sweep workloads call
+// it; context.Background arms no kernel interrupt.
+func SimulateRunErr(app perfect.App, cfg arch.Config, opts Options) (*Run, error) {
+	return SimulateRunCtx(context.Background(), app, cfg, opts)
 }
 
 // registerProbes registers the standard live probes as registry gauge
@@ -390,20 +379,15 @@ func (r *Run) TraceBundle() *obs.Bundle {
 	return b
 }
 
-// Sweep runs the app across the paper's five configurations and
-// normalizes seconds so the 1-processor completion time matches the
-// paper's (when the app is one of the five; synthetic apps keep
-// Scale 1). The configurations run concurrently per Options.Parallel;
-// every result is identical to a sequential run's.
-func Sweep(app perfect.App, opts Options) *core.Sweep {
-	return Sweeps([]perfect.App{app}, opts)[0]
-}
-
 // Sweeps runs several applications' paper sweeps through one worker
 // pool: the application × configuration grid is flattened into
 // independent jobs, so a 4-worker pool stays busy even while one
-// application's slowest configuration trails. Results are assembled in
-// application order with each sweep normalized exactly as Sweep does.
+// application's slowest configuration trails. The runs execute
+// concurrently per Options.Parallel; results are assembled in
+// application order, identical to a sequential run's, with seconds
+// normalized so each 1-processor completion time matches the paper's
+// (when the app is one of the five; synthetic apps keep Scale 1). It
+// panics when a run fails.
 func Sweeps(apps []perfect.App, opts Options) []*core.Sweep {
 	cfgs := arch.PaperConfigs()
 	type job struct {
@@ -417,7 +401,11 @@ func Sweeps(apps []perfect.App, opts Options) []*core.Sweep {
 		}
 	}
 	results := engine.Map(opts.Parallel, jobs, func(_ int, j job) *core.Result {
-		return Simulate(apps[j.app], j.cfg, opts)
+		run, err := SimulateRunErr(apps[j.app], j.cfg, opts)
+		if err != nil {
+			panic(err)
+		}
+		return run.Result
 	})
 	out := make([]*core.Sweep, len(apps))
 	for a, app := range apps {
@@ -469,7 +457,7 @@ type FaultReport struct {
 // (the baseline) and once per fault plan, comparing each degraded run
 // against the baseline with the paper's overhead decomposition (the
 // 1-processor run supplies the contention base). Runs use the same
-// deterministic seeds as Simulate, so a sweep is reproducible run to
+// deterministic seeds as a single run, so a sweep is reproducible run to
 // run. Baseline failures abort the sweep; per-plan failures are
 // recorded in the report and the sweep continues. The two baselines
 // and the per-plan degraded runs each execute concurrently per
@@ -483,8 +471,11 @@ func FaultSweep(app perfect.App, cfg arch.Config, plans []faults.Plan, opts Opti
 	}
 	bases := engine.Map(opts.Parallel, []arch.Config{arch.Cedar1, cfg},
 		func(_ int, c arch.Config) baseOut {
-			res, err := SimulateErr(app, c, healthy)
-			return baseOut{res, err}
+			run, err := SimulateRunErr(app, c, healthy)
+			if err != nil {
+				return baseOut{err: err}
+			}
+			return baseOut{res: run.Result}
 		})
 	for _, b := range bases {
 		if b.err != nil {

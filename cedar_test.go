@@ -11,8 +11,8 @@ import (
 
 func TestSimulateDeterministic(t *testing.T) {
 	opts := Options{Steps: 2}
-	a := Simulate(perfect.FLO52(), arch.Cedar16, opts)
-	b := Simulate(perfect.FLO52(), arch.Cedar16, opts)
+	a := mustRun(t, perfect.FLO52(), arch.Cedar16, opts).Result
+	b := mustRun(t, perfect.FLO52(), arch.Cedar16, opts).Result
 	if a.CT != b.CT {
 		t.Fatalf("CTs differ: %d vs %d", a.CT, b.CT)
 	}
@@ -22,15 +22,15 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestSimulateSeedChangesRun(t *testing.T) {
-	a := Simulate(perfect.OCEAN(), arch.Cedar8, Options{Steps: 2, Seed: 1})
-	b := Simulate(perfect.OCEAN(), arch.Cedar8, Options{Steps: 2, Seed: 2})
+	a := mustRun(t, perfect.OCEAN(), arch.Cedar8, Options{Steps: 2, Seed: 1}).Result
+	b := mustRun(t, perfect.OCEAN(), arch.Cedar8, Options{Steps: 2, Seed: 2}).Result
 	if a.CT == b.CT {
 		t.Fatal("different seeds produced identical completion times (suspicious)")
 	}
 }
 
 func TestSimulateRunExposesInternals(t *testing.T) {
-	run := SimulateRun(perfect.ADM(), arch.Cedar8, Options{Steps: 1, TraceCapacity: 1 << 16})
+	run := mustRun(t, perfect.ADM(), arch.Cedar8, Options{Steps: 1, TraceCapacity: 1 << 16})
 	if run.Machine == nil || run.OS == nil || run.RT == nil {
 		t.Fatal("internals missing")
 	}
@@ -43,7 +43,7 @@ func TestSimulateRunExposesInternals(t *testing.T) {
 }
 
 func TestSweepNormalizesToPaperCT1(t *testing.T) {
-	s := Sweep(perfect.ADM(), Options{Steps: 2})
+	s := Sweeps([]perfect.App{perfect.ADM()}, Options{Steps: 2})[0]
 	base := s.Base()
 	if base == nil {
 		t.Fatal("no 1-processor result")
@@ -61,7 +61,7 @@ func TestSweepNormalizesToPaperCT1(t *testing.T) {
 }
 
 func TestAccountsConserveWithinCT(t *testing.T) {
-	r := Simulate(perfect.MDG(), arch.Cedar32, Options{Steps: 1})
+	r := mustRun(t, perfect.MDG(), arch.Cedar32, Options{Steps: 1}).Result
 	for _, a := range r.Accounts {
 		if a.Total() > r.CT {
 			t.Fatalf("CE %d accounted %d > CT %d", a.CE(), a.Total(), r.CT)
@@ -78,8 +78,8 @@ func TestPaperQualitativeResults(t *testing.T) {
 	}
 	opts := Options{}
 	sweeps := map[string]*core.Sweep{}
-	for _, app := range perfect.Apps() {
-		sweeps[app.Name] = Sweep(app, opts)
+	for _, s := range Sweeps(perfect.Apps(), opts) {
+		sweeps[s.App] = s
 	}
 
 	s32 := func(app string) float64 {
@@ -197,7 +197,7 @@ func TestSpeedupShapeMatchesPaperWithin35Percent(t *testing.T) {
 		t.Skip("full-calibration sweep in -short mode")
 	}
 	for _, app := range perfect.Apps() {
-		s := Sweep(app, Options{})
+		s := Sweeps([]perfect.App{app}, Options{})[0]
 		paper := perfect.PaperTable1[app.Name]
 		for _, p := range []int{4, 8, 16, 32} {
 			got := s.Results[p].Speedup(s.Base())
@@ -218,8 +218,8 @@ func TestClusteringBeatsFlatMachineOnFineGrain(t *testing.T) {
 	// machine's global self-scheduling can win on load balance; see
 	// BenchmarkAblation_Clustering for both regimes.)
 	app := perfect.FineGrained()
-	clustered := Simulate(app, arch.Cedar32, Options{})
-	flat := Simulate(app, arch.Unclustered32, Options{})
+	clustered := mustRun(t, app, arch.Cedar32, Options{}).Result
+	flat := mustRun(t, app, arch.Unclustered32, Options{}).Result
 	if flat.CT <= clustered.CT {
 		t.Fatalf("flat machine CT %d not worse than clustered %d on fine-grained loops",
 			flat.CT, clustered.CT)
@@ -235,7 +235,7 @@ func TestTable3ShapeWithinTolerance(t *testing.T) {
 		t.Skip("full-calibration sweep in -short mode")
 	}
 	for _, app := range perfect.Apps() {
-		s := Sweep(app, Options{})
+		s := Sweeps([]perfect.App{app}, Options{})[0]
 		for _, p := range []int{4, 8, 16, 32} {
 			want := perfect.PaperTable3[app.Name][p]
 			got := s.Results[p].ParallelLoopConcurrency()
@@ -258,7 +258,7 @@ func TestTable4GrowthAndBand(t *testing.T) {
 		t.Skip("full-calibration sweep in -short mode")
 	}
 	for _, app := range perfect.Apps() {
-		s := Sweep(app, Options{})
+		s := Sweeps([]perfect.App{app}, Options{})[0]
 		paper := perfect.PaperTable4[app.Name].OvCont[32]
 		cont, err := core.ContentionOverhead(s.Base(), s.Results[32])
 		if err != nil {

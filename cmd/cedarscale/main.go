@@ -51,6 +51,16 @@ type row struct {
 	ovCont  float64 // percent of CT; negative when unavailable
 }
 
+// simulate runs one point of the study, exiting on a failed run.
+func simulate(app perfect.App, cfg arch.Config, opts cedar.Options) *core.Result {
+	run, err := cedar.SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedarscale: %v\n", err)
+		os.Exit(1)
+	}
+	return run.Result
+}
+
 func main() {
 	appName := flag.String("app", "FLO52", "application: FLO52, ARC2D, MDG, OCEAN, ADM")
 	configList := flag.String("configs", "32proc,64proc,128proc,256proc",
@@ -132,14 +142,14 @@ func main() {
 		}
 	}
 	baseResults := engine.Map(*parallel, factors, func(_ int, f int) *core.Result {
-		return cedar.Simulate(app.Scaled(f), arch.Cedar1, opts)
+		return simulate(app.Scaled(f), arch.Cedar1, opts)
 	})
 	bases := map[int]*core.Result{}
 	for i, f := range factors {
 		bases[f] = baseResults[i]
 	}
 
-	// Normalize seconds the way Sweep does — the unscaled 1-processor
+	// Normalize seconds the way Sweeps does — the unscaled 1-processor
 	// run matches the paper's CT1 — so every row reads in Table-1
 	// units. One shared scale keeps rows comparable across problem
 	// sizes in weak mode.
@@ -153,7 +163,7 @@ func main() {
 	rows := engine.Map(*parallel, cfgs, func(_ int, cfg arch.Config) row {
 		factor := factorOf(cfg)
 		base := bases[factor]
-		res := cedar.Simulate(app.Scaled(factor), cfg, opts)
+		res := simulate(app.Scaled(factor), cfg, opts)
 		res.Scale = scale
 		r := row{cfg: cfg, res: res, speedup: res.Speedup(base), ovCont: -1}
 		if cont, err := core.ContentionOverhead(base, res); err == nil {

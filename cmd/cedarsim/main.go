@@ -407,15 +407,23 @@ func main() {
 
 	// The measured run and the 1-processor baseline are independent
 	// simulations; run them through the engine pool.
-	var runX *cedar.Run
-	var base *core.Result
+	var runX, baseRun *cedar.Run
+	var errX, errBase error
 	jobs := []func(){
-		func() { runX = cedar.SimulateRun(app, cfg, opts) },
+		func() { runX, errX = cedar.SimulateRunErr(app, cfg, opts) },
 	}
 	if !*noBase && cfg.CEs() > 1 {
-		jobs = append(jobs, func() { base = cedar.Simulate(app, arch.Cedar1, opts) })
+		jobs = append(jobs, func() { baseRun, errBase = cedar.SimulateRunErr(app, arch.Cedar1, opts) })
 	}
 	engine.Do(*parallel, jobs...)
+	if err := errors.Join(errX, errBase); err != nil {
+		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
+		os.Exit(1)
+	}
+	var base *core.Result
+	if baseRun != nil {
+		base = baseRun.Result
+	}
 	res := runX.Result
 	exp.write(runX)
 

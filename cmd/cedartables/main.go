@@ -47,7 +47,11 @@ func writeRegistrySnapshots(dir string, apps []perfect.App, opts cedar.Options) 
 		os.Exit(1)
 	}
 	for _, app := range apps {
-		run := cedar.SimulateRun(app, arch.Cedar32, opts)
+		run, err := cedar.SimulateRunErr(app, arch.Cedar32, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cedartables: %v\n", err)
+			os.Exit(1)
+		}
 		path := filepath.Join(dir, strings.ToLower(app.Name)+"_32proc.metrics.json")
 		f, err := os.Create(path)
 		if err != nil {

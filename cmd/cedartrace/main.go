@@ -113,7 +113,11 @@ func main() {
 	if *obsMode {
 		opts.Observe = &obs.Options{}
 	}
-	run := cedar.SimulateRun(app, cfg, opts)
+	run, err := cedar.SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedartrace: %v\n", err)
+		os.Exit(1)
+	}
 	mon := run.Monitor
 
 	if *summary && *jsonOut {

@@ -11,6 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
+// mustRun is SimulateRunErr, failing the test or benchmark on error.
+func mustRun(tb testing.TB, app perfect.App, cfg arch.Config, opts Options) *Run {
+	tb.Helper()
+	run, err := SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return run
+}
+
 // A canceled context stops a running simulation promptly with an error
 // matching both the sim and context sentinels, and a context canceled
 // before the run refuses to start at all.
@@ -55,14 +65,17 @@ func TestSimulateRunCtxDeadline(t *testing.T) {
 	}
 }
 
-// An uncanceled context cannot perturb results: the ctx path is
-// byte-identical to the plain path, per configuration.
+// A cancelable context that never fires cannot perturb results: the
+// run with the kernel interrupt armed is byte-identical to the plain
+// path, per configuration.
 func TestSimulateRunCtxIdentical(t *testing.T) {
 	app := perfect.FLO52()
 	opts := Options{Steps: 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, cfg := range []arch.Config{arch.Cedar1, arch.Cedar4, arch.Cedar8} {
-		plain := SimulateRun(app, cfg, opts)
-		viaCtx, err := SimulateRunCtx(context.Background(), app, cfg, opts)
+		plain := mustRun(t, app, cfg, opts)
+		viaCtx, err := SimulateRunCtx(ctx, app, cfg, opts)
 		if err != nil {
 			t.Fatalf("%s: SimulateRunCtx: %v", cfg.Name, err)
 		}

@@ -11,7 +11,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	cedar "repro"
 	"repro/internal/arch"
@@ -19,6 +21,16 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/perfect"
 )
+
+// simulate runs app on cfg, exiting on a failed run.
+func simulate(app perfect.App, cfg arch.Config) *core.Result {
+	run, err := cedar.SimulateRunCtx(context.Background(), app, cfg, cedar.Options{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "constructs:", err)
+		os.Exit(1)
+	}
+	return run.Result
+}
 
 func pickShare(r *core.Result) float64 {
 	var pick float64
@@ -44,8 +56,8 @@ func main() {
 	fmt.Println("same loop nest, two constructs (iteration-pickup overhead, % of CT):")
 	fmt.Printf("%8s %16s %16s %14s\n", "config", "sdoall/cdoall", "xdoall", "CT ratio x/s")
 	for _, cfg := range arch.PaperConfigs() {
-		rs := cedar.Simulate(sdo, cfg, cedar.Options{})
-		rx := cedar.Simulate(xdo, cfg, cedar.Options{})
+		rs := simulate(sdo, cfg)
+		rx := simulate(xdo, cfg)
 		fmt.Printf("%7dp %15.2f%% %15.2f%% %14.3f\n",
 			cfg.CEs(), pickShare(rs)*100, pickShare(rx)*100,
 			float64(rx.CT)/float64(rs.CT))

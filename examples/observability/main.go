@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,11 +24,15 @@ import (
 )
 
 func main() {
-	run := cedar.SimulateRun(perfect.FLO52(), arch.Cedar16, cedar.Options{
+	run, err := cedar.SimulateRunCtx(context.Background(), perfect.FLO52(), arch.Cedar16, cedar.Options{
 		Steps:         1,
 		TraceCapacity: 1 << 20,
 		Observe:       &obs.Options{},
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "observability:", err)
+		os.Exit(1)
+	}
 
 	dir, err := os.MkdirTemp("", "cedar-obs")
 	if err != nil {

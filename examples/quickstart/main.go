@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -22,16 +23,18 @@ func main() {
 	// Run the instrumented simulation on the 1-processor baseline and
 	// the full machine. The baseline supplies the "minimum possible
 	// total processing time" the contention methodology needs.
-	base, err := cedar.SimulateErr(app, arch.Cedar1, cedar.Options{})
+	ctx := context.Background()
+	baseRun, err := cedar.SimulateRunCtx(ctx, app, arch.Cedar1, cedar.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart: baseline run failed:", err)
 		os.Exit(1)
 	}
-	full, err := cedar.SimulateErr(app, arch.Cedar32, cedar.Options{})
+	fullRun, err := cedar.SimulateRunCtx(ctx, app, arch.Cedar32, cedar.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart: 32-processor run failed:", err)
 		os.Exit(1)
 	}
+	base, full := baseRun.Result, fullRun.Result
 
 	// Report in paper-scale seconds (1-processor CT normalized to the
 	// published 613 s for FLO52).

@@ -28,7 +28,7 @@ func main() {
 	}
 
 	fmt.Printf("simulating %s across Cedar configurations...\n\n", app.Name)
-	sweep := cedar.Sweep(app, cedar.Options{})
+	sweep := cedar.Sweeps([]perfect.App{app}, cedar.Options{})[0]
 	base := sweep.Base()
 	paper := perfect.PaperTable1[app.Name]
 

@@ -7,11 +7,15 @@
 // accepted by Parse and the cedarsim -fault flag, is a comma-separated
 // list of
 //
-//	kind:target[xFACTOR][+SPAN]@TIME
+//	kind:target[xFACTOR]@TIME[+SPAN]
 //
 // where TIME is the virtual cycle the fault fires at (float syntax,
 // e.g. 1e6), FACTOR is a slow-down multiplier and SPAN a duration in
-// cycles. The kinds:
+// cycles. TIME and SPAN must be finite, TIME >= 0 and SPAN >= 1, and
+// TIME+SPAN must fit sim.Time; FACTOR must lie in [1, MaxFactor]
+// (100). Only the slow-down kinds take a factor and only lock takes a
+// span, so every accepted plan renders back (Plan.String) to itself.
+// The kinds:
 //
 //	ce:N@T        CE N fail-stops at cycle T
 //	ce:Nx3@T      CE N's clock degrades 3x (slow-down, not fail)
@@ -26,6 +30,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -70,6 +75,13 @@ const (
 	DefaultLockSpan   = 50_000 // lock:C@T → 2.5 ms holder stall
 )
 
+// MaxFactor bounds every slow-down factor. Two orders of magnitude
+// covers any plausible degradation while keeping each scaled duration
+// far inside sim.Time and a degraded run tractable: FLO52 on 8proc
+// with one CE slowed 100x finishes in milliseconds of host time, while
+// near 1000x the same run stretches past minutes.
+const MaxFactor = 100.0
+
 // Event is one fault: Kind fires against Target at virtual time At.
 // Factor carries the slow-down multiplier for the *Slow kinds; Span
 // the stall length for LockStall.
@@ -90,15 +102,15 @@ func (e Event) String() string {
 		kind = "ce"
 	case CESlow:
 		kind = "ce"
-		factor = fmt.Sprintf("x%g", e.Factor)
+		factor = "x" + formatFactor(e.Factor)
 	case ModuleOffline:
 		kind = "module"
 	case ModuleSlow:
 		kind = "module"
-		factor = fmt.Sprintf("x%g", e.Factor)
+		factor = "x" + formatFactor(e.Factor)
 	case PortSlow:
 		kind = "port"
-		factor = fmt.Sprintf("x%g", e.Factor)
+		factor = "x" + formatFactor(e.Factor)
 	case LockStall:
 		kind = "lock"
 		span = fmt.Sprintf("+%d", int64(e.Span))
@@ -157,29 +169,27 @@ func parseOne(item string) (Event, error) {
 	// signs inside the time float stay untouched ("1e+6" is not a
 	// span separator when no span follows a bare time... keep specs
 	// to plain "1e6" exponents).
-	var span sim.Duration
 	if t2, spanPart, found := cutLast(timePart, '+'); found {
-		s, err := strconv.ParseFloat(spanPart, 64)
-		if err != nil || s <= 0 {
+		s, ok := parseCycles(spanPart)
+		if !ok || s < 1 {
 			return ev, fmt.Errorf("bad span %q", spanPart)
 		}
-		span = sim.Duration(s)
+		ev.Span = sim.Duration(s)
 		timePart = t2
 	}
-	at, err := strconv.ParseFloat(timePart, 64)
-	if err != nil || at < 0 {
-		return ev, fmt.Errorf("bad time %q", timePart)
+	at, ok := parseCycles(timePart)
+	if !ok || int64(ev.Span) > math.MaxInt64-at {
+		return ev, fmt.Errorf("bad time %q (or time plus span overflows)", timePart)
 	}
 	ev.At = sim.Time(at)
 
 	// body = target [x factor].
-	var factor float64
 	if body2, facPart, found := cutLast(body, 'x'); found {
 		f, err := strconv.ParseFloat(facPart, 64)
-		if err != nil || f < 1 {
-			return ev, fmt.Errorf("bad factor %q (want >= 1)", facPart)
+		if err != nil || !(f >= 1 && f <= MaxFactor) {
+			return ev, fmt.Errorf("bad factor %q (want 1 to %g)", facPart, MaxFactor)
 		}
-		factor = f
+		ev.Factor = f
 		body = body2
 	}
 	target, err := strconv.Atoi(body)
@@ -187,25 +197,24 @@ func parseOne(item string) (Event, error) {
 		return ev, fmt.Errorf("bad target %q", body)
 	}
 	ev.Target = target
-	ev.Factor = factor
-	ev.Span = span
 
+	slowed := ev.Factor > 0
 	switch kindPart {
 	case "ce":
-		if factor > 0 {
+		if slowed {
 			ev.Kind = CESlow
 		} else {
 			ev.Kind = CEFail
 		}
 	case "module":
-		if factor > 0 {
+		if slowed {
 			ev.Kind = ModuleSlow
 		} else {
 			ev.Kind = ModuleOffline
 		}
 	case "port":
 		ev.Kind = PortSlow
-		if ev.Factor == 0 {
+		if !slowed {
 			ev.Factor = DefaultPortFactor
 		}
 	case "lock":
@@ -218,8 +227,29 @@ func parseOne(item string) (Event, error) {
 	default:
 		return ev, fmt.Errorf("unknown kind %q (want ce, module, port, lock, storm)", kindPart)
 	}
+	switch {
+	case slowed && (ev.Kind == LockStall || ev.Kind == PageStorm):
+		return ev, fmt.Errorf("kind %q takes no factor", kindPart)
+	case ev.Span != 0 && ev.Kind != LockStall:
+		return ev, fmt.Errorf("kind %q takes no span", kindPart)
+	}
 	return ev, nil
 }
+
+// parseCycles parses a cycle count in float syntax, truncated to whole
+// cycles. It rejects NaN, infinities, negatives and values that do not
+// fit sim.Time.
+func parseCycles(s string) (int64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(v >= 0 && v < math.MaxInt64) {
+		return 0, false
+	}
+	return int64(v), true
+}
+
+// formatFactor renders a factor in the shortest form that parses back
+// to the same value.
+func formatFactor(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // cutLast splits s around the last occurrence of sep, so factors and
 // spans written in float syntax never swallow a leading digit.
@@ -261,11 +291,14 @@ func (p Plan) Validate(cfg arch.Config) error {
 		default:
 			err = fmt.Errorf("unknown kind %d", e.Kind)
 		}
+		if err == nil && e.At < 0 {
+			err = fmt.Errorf("negative time %d", e.At)
+		}
 		if err == nil {
 			switch e.Kind {
 			case CESlow, ModuleSlow, PortSlow:
-				if e.Factor < 1 {
-					err = fmt.Errorf("factor %g < 1", e.Factor)
+				if !(e.Factor >= 1 && e.Factor <= MaxFactor) {
+					err = fmt.Errorf("factor %g outside [1,%g]", e.Factor, MaxFactor)
 				}
 			case LockStall:
 				if e.Span <= 0 {

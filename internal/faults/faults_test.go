@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,6 +66,53 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): expected error", spec)
+		}
+	}
+}
+
+// Values that parse as floats but do not describe a fault must be
+// rejected, not converted: each of these used to be accepted and then
+// panicked a run ("schedule at -9223372036854775808", "negative busy")
+// or, for the NaN factor, silently took the module offline.
+func TestParseRejectsNonFiniteAndOverflow(t *testing.T) {
+	for _, spec := range []string{
+		"ce:1@Inf",           // time overflows sim.Time
+		"ce:1@1e30",          // time overflows sim.Time
+		"ce:1@NaN",           // NaN time
+		"lock:0@9e18+9e18",   // time plus span overflows
+		"lock:0@5+Inf",       // infinite span
+		"module:3xNaN@100",   // NaN factor
+		"port:2xInf@100",     // infinite factor
+		"module:3x1e300@100", // factor beyond MaxFactor
+		"ce:1x101@0",         // factor beyond MaxFactor
+		"ce:1@5+100",         // span on a kind that takes none
+		"storm:0@5+100",      // span on a kind that takes none
+		"lock:0x2@5",         // factor on a kind that takes none
+		"storm:-1x3@5",       // factor on a kind that takes none
+	} {
+		if plan, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", spec, plan)
+		}
+	}
+	// The bounds themselves stay accepted.
+	for _, spec := range []string{"ce:1x100@0", "lock:0@1e18+1e18", "ce:1@9.2e18"} {
+		if _, err := Parse(spec); err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		}
+	}
+}
+
+// Plans built in code skip the parser, so Validate rejects the same
+// non-finite factors and negative times.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for i, p := range []Plan{
+		{{Kind: ModuleSlow, Target: 3, Factor: math.NaN()}},
+		{{Kind: PortSlow, Target: 2, Factor: math.Inf(1)}},
+		{{Kind: CESlow, Target: 1, Factor: MaxFactor + 1}},
+		{{Kind: CEFail, Target: 1, At: -1}},
+	} {
+		if err := p.Validate(arch.Cedar8); err == nil {
+			t.Errorf("plan %d (%+v) accepted", i, p[0])
 		}
 	}
 }

@@ -33,7 +33,7 @@ func committedDocs(f *testing.F) [][]byte {
 
 // docKeys are the document keys an error may name.
 var docKeys = []string{"name", "app", "workload", "pathology", "config", "steps", "scale",
-	"seed", "plan", "parallel", "max_cycles", "expect", "wall_tol", "metrics"}
+	"seed", "plan", "max_cycles", "expect", "wall_tol", "metrics"}
 
 // namesKeyOrLine reports whether a rejection points at where the input
 // went wrong: a line (number or the line form itself) or a key.

@@ -182,7 +182,7 @@ func TestRunExpectation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Run(sc, false)
+	recs, err := RunCtx(context.Background(), sc, false)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("met deadlock expectation: %d records, err %v", len(recs), err)
 	}
@@ -193,7 +193,7 @@ func TestRunExpectation(t *testing.T) {
 
 	healthy := tiny(t)
 	healthy.Expect = ExpectDeadlock
-	if _, err := Run(healthy, false); !errors.Is(err, ErrExpectation) {
+	if _, err := RunCtx(context.Background(), healthy, false); !errors.Is(err, ErrExpectation) {
 		t.Fatalf("healthy run expected to deadlock: err = %v", err)
 	}
 	ok, err := Parse("deadlock", []byte(deadlockDoc))

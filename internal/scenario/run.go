@@ -49,7 +49,6 @@ func (sc *Scenario) Options() cedar.Options {
 		Seed:      sc.Seed,
 		Faults:    sc.Plan,
 		MaxCycles: sim.Time(sc.MaxCycles),
-		Parallel:  sc.Parallel,
 	}
 }
 
@@ -116,16 +115,14 @@ func Check(ctx context.Context, sc *Scenario) (*cedar.Run, string, error) {
 func RunCtx(ctx context.Context, sc *Scenario, wallclock bool) ([]Record, error) {
 	start := time.Now()
 	run, outcome, err := Check(ctx, sc)
-	wall := time.Since(start)
+	var wall time.Duration
+	if wallclock {
+		wall = time.Since(start)
+	}
 	if err != nil || outcome != ExpectOK {
 		return nil, err
 	}
-	return sc.extract(run, wall, wallclock)
-}
-
-// Run is RunCtx without cancellation.
-func Run(sc *Scenario, wallclock bool) ([]Record, error) {
-	return RunCtx(context.Background(), sc, wallclock)
+	return sc.Records(run, wall)
 }
 
 // Replayed is one scenario's Replay verdict. Err is set when the
@@ -159,11 +156,14 @@ func Replay(scs []*Scenario, parallel int) []Replayed {
 	})
 }
 
-// extract pulls the scenario's metric set out of a finished run. The
+// Records pulls the scenario's metric set out of a finished run. wall
+// is the run's wall-clock time; a positive wall adds the
+// nondeterministic MetricWallEventsPerSec, zero leaves it out. The
 // Table-2 decomposition comes from the run's metric registry snapshot
 // — the same source StatfxText and every exporter render from — so a
 // scenario capture is structurally consistent with them.
-func (sc *Scenario) extract(run *cedar.Run, wall time.Duration, wallclock bool) ([]Record, error) {
+func (sc *Scenario) Records(run *cedar.Run, wall time.Duration) ([]Record, error) {
+	wallclock := wall > 0
 	snap := run.Metrics().Snapshot()
 	events := run.Machine.Kernel.EventsFired()
 	ct := int64(run.Result.CT)

@@ -28,7 +28,6 @@
 //	seed: 3327910339796038169
 //	plan: ce:1@76414
 //	max_cycles: 0
-//	parallel: 1
 //	metrics:
 //	  - ct_cycles
 //	  - os_breakdown
@@ -186,7 +185,9 @@ type Scenario struct {
 	Seed int64
 	// Plan is the fault plan (empty = healthy run).
 	Plan faults.Plan
-	// Parallel bounds intra-run batch parallelism (cedar.Options.Parallel).
+	// Parallel is unused: no key sets it and a single run has no batch
+	// to bound. It stays only because the hostbench module reads it;
+	// delete it with the next change to the benchmark.
 	Parallel int
 	// MaxCycles aborts the run past this virtual time (0 = unlimited).
 	MaxCycles int64
@@ -344,8 +345,6 @@ func Parse(fallbackName string, data []byte) (*Scenario, error) {
 					val, PathologyHotSpot, PathologyBarrierConvoy, PathologyPageStorm)
 			}
 			sc.Pathology = val
-		case "parallel":
-			sc.Parallel, err = nonNegInt(val)
 		case "wall_tol":
 			sc.WallTol, err = strconv.ParseFloat(val, 64)
 			if err == nil && (sc.WallTol < 0 || sc.WallTol >= 1) {
@@ -520,9 +519,6 @@ func (sc *Scenario) Document(comment string) []byte {
 	if len(sc.Plan) > 0 {
 		kv("plan", sc.Plan)
 	}
-	if sc.Parallel != 0 {
-		kv("parallel", sc.Parallel)
-	}
 	if sc.MaxCycles != 0 {
 		kv("max_cycles", sc.MaxCycles)
 	}
@@ -637,6 +633,12 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: app and workload are mutually exclusive", sc.Name)
 	case sc.Config == "":
 		return fmt.Errorf("scenario %s: missing config", sc.Name)
+	case sc.Steps < 0:
+		return fmt.Errorf("scenario %s: negative steps %d", sc.Name, sc.Steps)
+	case sc.Scale < 0:
+		return fmt.Errorf("scenario %s: negative scale %d", sc.Name, sc.Scale)
+	case sc.MaxCycles < 0:
+		return fmt.Errorf("scenario %s: negative max_cycles %d", sc.Name, sc.MaxCycles)
 	}
 	src := sc.App
 	if sc.Workload != "" {

@@ -20,7 +20,6 @@ steps: 1
 scale: auto
 seed: 3327910339796038169
 plan: ce:1@76414
-parallel: 1
 max_cycles: 100000000
 wall_tol: 0.4
 metrics:
@@ -43,8 +42,8 @@ func TestParseFullDocument(t *testing.T) {
 	if got := sc.Plan.String(); got != "ce:1@76414" {
 		t.Fatalf("plan = %q", got)
 	}
-	if sc.WallTol != 0.4 || sc.Parallel != 1 {
-		t.Fatalf("wall_tol/parallel = %v %d", sc.WallTol, sc.Parallel)
+	if sc.WallTol != 0.4 {
+		t.Fatalf("wall_tol = %v", sc.WallTol)
 	}
 	if want := []string{MetricCT, MetricOSBreakdown, MetricEvents}; strings.Join(sc.Metrics, ",") != strings.Join(want, ",") {
 		t.Fatalf("metrics = %v, want %v", sc.Metrics, want)
@@ -160,6 +159,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown app", "app: NOPE\nconfig: 8proc\n", `unknown app "NOPE" (known:`},
 		{"unknown config", "app: FLO52\nconfig: 9proc\n", `unknown configuration "9proc"`},
 		{"unknown key", "app: FLO52\nconfig: 8proc\nbogus: 1\n", `unknown key "bogus"`},
+		{"parallel key", "app: FLO52\nconfig: 8proc\nparallel: 1\n", `unknown key "parallel"`},
 		{"duplicate key", "app: FLO52\napp: OCEAN\nconfig: 8proc\n", "duplicate key"},
 		{"bad plan", "app: FLO52\nconfig: 8proc\nplan: wat\n", "plan"},
 		{"plan outside config", "app: FLO52\nconfig: 8proc\nplan: ce:63@5\n", "out of range"},
@@ -185,6 +185,25 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// A scenario built in code skips the text parsers, so Validate itself
+// must reject the negative counts they would.
+func TestValidateRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Scenario)
+	}{
+		{"steps", func(sc *Scenario) { sc.Steps = -3 }},
+		{"scale", func(sc *Scenario) { sc.Scale = -2 }},
+		{"max_cycles", func(sc *Scenario) { sc.MaxCycles = -1 }},
+	} {
+		sc := &Scenario{Name: "neg", App: "FLO52", Config: "8proc"}
+		tc.set(sc)
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "negative "+tc.field) {
+			t.Errorf("%s: err = %v, want a negative %s rejection", tc.field, err, tc.field)
+		}
 	}
 }
 
@@ -233,7 +252,7 @@ func tiny(t *testing.T) *Scenario {
 }
 
 func TestRunExtractsDefaultMetrics(t *testing.T) {
-	recs, err := Run(tiny(t), false)
+	recs, err := RunCtx(context.Background(), tiny(t), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +278,7 @@ func TestRunExtractsDefaultMetrics(t *testing.T) {
 }
 
 func TestRunWallclockRecord(t *testing.T) {
-	recs, err := Run(tiny(t), true)
+	recs, err := RunCtx(context.Background(), tiny(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +409,7 @@ func TestRunFailingScenarioErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(sc, false); err == nil {
+	if _, err := RunCtx(context.Background(), sc, false); err == nil {
 		t.Fatal("deadlocking scenario produced records")
 	}
 }

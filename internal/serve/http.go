@@ -104,7 +104,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job spec: " + err.Error()})
 		return
 	}
-	res, err := spec.Validate()
+	scs, err := spec.Validate()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
@@ -115,7 +115,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil && !spec.NoCache {
 		if payload, ok := s.cache.Get(spec.cacheKey(s.cfg.Version)); ok {
 			s.mu.Lock()
-			job := &Job{ID: s.newID(), Spec: spec, res: res, State: StateDone,
+			job := &Job{ID: s.newID(), Spec: spec, State: StateDone,
 				CacheHit: true, SubmittedAt: time.Now()}
 			job.FinishedAt = job.SubmittedAt
 			job.result = payload
@@ -135,7 +135,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	job := &Job{ID: s.newID(), Spec: spec, res: res, State: StateQueued, SubmittedAt: time.Now()}
+	job := &Job{ID: s.newID(), Spec: spec, scenarios: scs, State: StateQueued, SubmittedAt: time.Now()}
 	if !s.q.push(job) {
 		s.mu.Unlock()
 		s.met.rejectedFull.Inc()

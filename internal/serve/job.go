@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,16 +13,13 @@ import (
 	"repro/internal/arch"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/perfect"
 	"repro/internal/resultcache"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
-// simTime converts a JSON int64 cycle count to the kernel's time type.
-func simTime(v int64) sim.Time { return sim.Time(v) }
-
-// Job types accepted by the service.
+// Job types accepted by the service. Each becomes a list of scenarios
+// run the same way; a type only decides how the list is built and how
+// each run is reported.
 const (
 	TypeSimulate = "simulate" // one app on one configuration
 	TypeSweep    = "sweep"    // one app across a configuration list
@@ -33,7 +31,8 @@ const (
 // JobSpec is the submitted description of one job (the POST /jobs
 // body). Fields are per-type; Validate names misuse precisely.
 type JobSpec struct {
-	// Type selects the job shape: simulate, sweep, replay, or corpus.
+	// Type selects the job shape: simulate, sweep, replay, corpus, or
+	// bench.
 	Type string `json:"type"`
 	// App is the application name (simulate, sweep). Registry names and
 	// single-line gen: specs both resolve; exactly one of App and
@@ -71,142 +70,98 @@ type JobSpec struct {
 	// cancellation threaded into the simulation kernel.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// MaxCycles caps virtual time (0 = unlimited): the in-model
-	// counterpart of the wall-clock deadline.
+	// counterpart of the wall-clock deadline. When set it overrides
+	// every scenario's own budget.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// Parallel bounds intra-job parallelism for sweep and corpus jobs
-	// (0 = GOMAXPROCS).
+	// Parallel bounds how many of the job's scenarios run at once, for
+	// every job kind (0 = GOMAXPROCS); only sweep and corpus jobs have
+	// more than one.
 	Parallel int `json:"parallel,omitempty"`
 	// NoCache skips the result cache for this job (both lookup and
 	// fill).
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// resolved carries the validated, decoded form of a spec so execution
-// never re-parses.
-type resolved struct {
-	app       perfect.App
-	cfg       arch.Config
-	cfgs      []arch.Config
-	plan      faults.Plan
-	scenario  *scenario.Scenario
-	scenarios []*scenario.Scenario
-	bench     *scenario.Scenario
-}
-
 // Validate checks the spec against the live application and
-// configuration registries and parses plan/scenario text, so a bad
-// request is rejected at submit time (400), never discovered by a
-// worker.
-func (sp *JobSpec) Validate() (resolved, error) {
-	var r resolved
-	var err error
+// configuration registries and turns it into the scenarios the job
+// runs, so a bad request is rejected at submit time (400), never
+// discovered by a worker: simulate is one unscaled scenario, sweep one
+// per configuration, replay and corpus their parsed lines, bench the
+// parsed document. scenario.Validate resolves every source without
+// file access — the spec arrived over the network.
+func (sp *JobSpec) Validate() ([]*scenario.Scenario, error) {
+	var configs, lines []string
+	var scs []*scenario.Scenario
 	switch sp.Type {
 	case TypeSimulate:
-		if r.app, err = sp.resolveApp(); err != nil {
-			return r, err
-		}
-		if r.cfg, err = lookupConfig(sp.Config); err != nil {
-			return r, err
-		}
-		if sp.Plan != "" {
-			if r.plan, err = faults.Parse(sp.Plan); err != nil {
-				return r, err
-			}
-			if err = r.plan.Validate(r.cfg); err != nil {
-				return r, err
-			}
-		}
+		configs = []string{sp.Config}
 	case TypeSweep:
-		if r.app, err = sp.resolveApp(); err != nil {
-			return r, err
-		}
 		if sp.Plan != "" {
-			return r, fmt.Errorf("sweep jobs do not take a fault plan (submit per-config simulate jobs)")
+			return nil, fmt.Errorf("sweep jobs do not take a fault plan (submit per-config simulate jobs)")
 		}
-		names := sp.Configs
-		if len(names) == 0 {
+		if len(sp.Configs) == 0 {
 			for _, c := range arch.PaperConfigs() {
-				names = append(names, c.Name)
+				sp.Configs = append(sp.Configs, c.Name) // canonicalized: the cache key names them
 			}
-			sp.Configs = names // canonicalized: the cache key names them
 		}
-		for _, n := range names {
-			cfg, ok := arch.FamilyByName(n)
-			if !ok {
-				return r, fmt.Errorf("unknown configuration %q", n)
-			}
-			r.cfgs = append(r.cfgs, cfg)
-		}
+		configs = sp.Configs
 	case TypeReplay:
-		if r.scenario, err = scenario.ParseLine(sp.Scenario); err != nil {
-			return r, fmt.Errorf("replay: %w", err)
-		}
+		lines = []string{sp.Scenario}
 	case TypeCorpus:
 		if len(sp.Corpus) == 0 {
-			return r, fmt.Errorf("corpus job without scenario lines")
+			return nil, fmt.Errorf("corpus job without scenario lines")
 		}
-		for i, line := range sp.Corpus {
-			sc, perr := scenario.ParseLine(line)
-			if perr != nil {
-				return r, fmt.Errorf("corpus line %d: %w", i+1, perr)
-			}
-			r.scenarios = append(r.scenarios, sc)
-		}
+		lines = sp.Corpus
 	case TypeBench:
 		if strings.TrimSpace(sp.Bench) == "" {
-			return r, fmt.Errorf("bench job without a scenario document")
+			return nil, fmt.Errorf("bench job without a scenario document")
 		}
-		if r.bench, err = scenario.Parse("bench", []byte(sp.Bench)); err != nil {
-			return r, err
+		sc, err := scenario.Parse("bench", []byte(sp.Bench))
+		if err != nil {
+			return nil, err
 		}
-		// A spec-level cycle budget tightens (or sets) the document's
-		// own: both are part of the cache key, so the fold is safe.
-		if sp.MaxCycles > 0 {
-			r.bench.MaxCycles = sp.MaxCycles
-		}
+		scs = append(scs, sc)
 	case "":
-		return r, fmt.Errorf("missing job type (want %s, %s, %s, %s, or %s)",
+		return nil, fmt.Errorf("missing job type (want %s, %s, %s, %s, or %s)",
 			TypeSimulate, TypeSweep, TypeReplay, TypeCorpus, TypeBench)
 	default:
-		return r, fmt.Errorf("unknown job type %q (want %s, %s, %s, %s, or %s)",
+		return nil, fmt.Errorf("unknown job type %q (want %s, %s, %s, %s, or %s)",
 			sp.Type, TypeSimulate, TypeSweep, TypeReplay, TypeCorpus, TypeBench)
 	}
+	var plan faults.Plan
+	if sp.Plan != "" && len(configs) > 0 {
+		var err error
+		if plan, err = faults.Parse(sp.Plan); err != nil {
+			return nil, err
+		}
+	}
+	// A simulate or sweep run is the spec's app on one configuration,
+	// never weak-scaled.
+	for _, config := range configs {
+		sc := &scenario.Scenario{Name: sp.Type, App: sp.App, Workload: sp.Workload,
+			Config: config, Steps: sp.Steps, Scale: 1, Seed: sp.Seed, Plan: plan}
+		if err := sc.Validate(); err != nil {
+			return nil, err
+		}
+		scs = append(scs, sc)
+	}
+	for i, line := range lines {
+		sc, err := scenario.ParseLine(line)
+		if err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", sp.Type, i+1, err)
+		}
+		scs = append(scs, sc)
+	}
 	if sp.DeadlineMS < 0 {
-		return r, fmt.Errorf("negative deadline_ms %d", sp.DeadlineMS)
+		return nil, fmt.Errorf("negative deadline_ms %d", sp.DeadlineMS)
 	}
 	if sp.MaxCycles < 0 {
-		return r, fmt.Errorf("negative max_cycles %d", sp.MaxCycles)
+		return nil, fmt.Errorf("negative max_cycles %d", sp.MaxCycles)
 	}
 	if sp.Parallel < 0 {
-		return r, fmt.Errorf("negative parallel %d", sp.Parallel)
+		return nil, fmt.Errorf("negative parallel %d", sp.Parallel)
 	}
-	return r, nil
-}
-
-// resolveApp resolves a spec's workload source: the App name (or
-// single-line gen: spec) or the Workload document, exactly one of
-// which must be set. File sources are rejected (Resolver.AllowFiles
-// stays false): the spec arrived over the network.
-func (sp *JobSpec) resolveApp() (perfect.App, error) {
-	switch {
-	case sp.App == "" && sp.Workload == "":
-		return perfect.App{}, fmt.Errorf("missing app (or workload)")
-	case sp.App != "" && sp.Workload != "":
-		return perfect.App{}, fmt.Errorf("app and workload are mutually exclusive")
-	}
-	src := sp.App
-	if sp.Workload != "" {
-		src = sp.Workload
-	}
-	return (perfect.Resolver{}).Resolve(src)
-}
-
-func lookupConfig(cfgName string) (arch.Config, error) {
-	cfg, ok := arch.FamilyByName(cfgName)
-	if !ok {
-		return cfg, fmt.Errorf("unknown configuration %q", cfgName)
-	}
-	return cfg, nil
+	return scs, nil
 }
 
 // cacheKey derives the content-address of the job's result. The
@@ -240,135 +195,107 @@ func (sp *JobSpec) cacheKey(version string) resultcache.Key {
 	return k
 }
 
-// budgeted returns the scenario a replay or corpus job runs: the
-// parsed line, with the spec's cycle budget when it sets one.
-func (sp *JobSpec) budgeted(sc *scenario.Scenario) *scenario.Scenario {
-	if sp.MaxCycles == 0 {
-		return sc
-	}
-	c := *sc
-	c.MaxCycles = sp.MaxCycles
-	return &c
+// piece is one scenario's share of a job result: its payload text, or
+// the error that fails the job. missed marks a corpus line whose run
+// missed its expectation.
+type piece struct {
+	text   string
+	missed bool
+	err    error
 }
 
-// options builds the facade options a spec implies.
-func (sp *JobSpec) options() cedar.Options {
-	return cedar.Options{
-		Steps:     sp.Steps,
-		Seed:      sp.Seed,
-		MaxCycles: simTime(sp.MaxCycles),
-		Parallel:  sp.Parallel,
+// execute runs the job's scenarios under ctx through scenario.Check,
+// concurrently per Parallel, and joins each run's payload piece in
+// scenario order. The spec's max_cycles, when set, budgets every run;
+// it is applied here rather than in Validate so a replayed line is
+// reported as submitted.
+func (sp *JobSpec) execute(ctx context.Context, scs []*scenario.Scenario, progress func(string)) ([]byte, error) {
+	pieces, err := engine.MapCtx(ctx, sp.Parallel, scs,
+		func(ctx context.Context, i int, sc *scenario.Scenario) piece {
+			budgeted := sc
+			if sp.MaxCycles > 0 {
+				c := *sc
+				c.MaxCycles = sp.MaxCycles
+				budgeted = &c
+			}
+			run, outcome, err := scenario.Check(ctx, budgeted)
+			p, msg := sp.piece(i, len(scs), sc, run, outcome, err)
+			if msg != "" {
+				progress(msg)
+			}
+			return p
+		})
+	if err != nil {
+		return nil, err
 	}
+	var b bytes.Buffer
+	missed := 0
+	for _, p := range pieces {
+		if p.err != nil {
+			return nil, p.err
+		}
+		if p.missed {
+			missed++
+		}
+		b.WriteString(p.text)
+	}
+	if missed > 0 {
+		return b.Bytes(), fmt.Errorf("%d of %d corpus scenario(s) missed their expectation", missed, len(pieces))
+	}
+	return b.Bytes(), nil
 }
 
-// execute runs the job body under ctx and returns the canonical result
-// text. Every simulate-shaped result is Run.StatfxText — the byte-
-// stable accounting block the replay machinery already compares — so a
-// service result is directly diffable against a local cedarsim run.
-func (sp *JobSpec) execute(ctx context.Context, r resolved, progress func(string)) ([]byte, error) {
+// piece formats scenario i of n's run as the job kind's payload piece
+// and progress line ("" for none). Simulate and sweep pieces are
+// Run.StatfxText — the byte-stable accounting block the replay
+// machinery compares — so a service result is directly diffable
+// against a local cedarsim run.
+func (sp *JobSpec) piece(i, n int, sc *scenario.Scenario, run *cedar.Run, outcome string, err error) (piece, string) {
+	if sp.Type == TypeCorpus && (err == nil || errors.Is(err, scenario.ErrExpectation)) {
+		status := "ok"
+		if err != nil {
+			status = fmt.Sprintf("FAIL (outcome %s, want %s)", outcome, sc.Expectation())
+		}
+		line, _ := sc.Line()
+		return piece{text: status + " " + line + "\n", missed: err != nil},
+			fmt.Sprintf("corpus %d/%d: %s", i+1, n, status)
+	}
+	if err != nil {
+		if sp.Type == TypeSweep {
+			err = fmt.Errorf("config %s: %w", sc.Config, err)
+		}
+		return piece{err: err}, ""
+	}
 	switch sp.Type {
 	case TypeSimulate:
-		opts := sp.options()
-		opts.Faults = r.plan
-		run, err := cedar.SimulateRunCtx(ctx, r.app, r.cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		progress(fmt.Sprintf("simulated %s on %s: ct=%d", r.app.Name, sp.Config, int64(run.Result.CT)))
-		return []byte(run.StatfxText()), nil
-
+		return piece{text: run.StatfxText()},
+			fmt.Sprintf("simulated %s on %s: ct=%d", sc.AppName(), sc.Config, int64(run.Result.CT))
 	case TypeSweep:
-		type out struct {
-			text string
-			err  error
-		}
-		results, err := engine.MapCtx(ctx, sp.Parallel, r.cfgs,
-			func(ctx context.Context, _ int, cfg arch.Config) out {
-				run, rerr := cedar.SimulateRunCtx(ctx, r.app, cfg, sp.options())
-				if rerr != nil {
-					return out{err: rerr}
-				}
-				progress(fmt.Sprintf("swept %s on %s: ct=%d", r.app.Name, cfg.Name, int64(run.Result.CT)))
-				return out{text: run.StatfxText()}
-			})
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		for i, o := range results {
-			if o.err != nil {
-				return nil, fmt.Errorf("config %s: %w", r.cfgs[i].Name, o.err)
-			}
-			fmt.Fprintf(&b, "== %s\n%s", r.cfgs[i].Name, o.text)
-		}
-		return []byte(b.String()), nil
-
+		cfg := run.Machine.Cfg.Name // canonical, whatever alias the spec named
+		return piece{text: "== " + cfg + "\n" + run.StatfxText()},
+			fmt.Sprintf("swept %s on %s: ct=%d", sc.AppName(), cfg, int64(run.Result.CT))
 	case TypeReplay:
-		// The result names the canonical line as submitted; the spec's
-		// cycle budget runs alongside it.
-		line, _ := r.scenario.Line()
-		run, outcome, err := scenario.Check(ctx, sp.budgeted(r.scenario))
-		if err != nil {
-			return nil, err
-		}
-		progress(fmt.Sprintf("replayed %s: outcome %s", line, outcome))
-		var b strings.Builder
-		fmt.Fprintf(&b, "scenario %s\noutcome %s\n", line, outcome)
+		line, _ := sc.Line()
+		text := fmt.Sprintf("scenario %s\noutcome %s\n", line, outcome)
 		if run != nil {
-			b.WriteString(run.StatfxText())
+			text += run.StatfxText()
 		}
-		return []byte(b.String()), nil
-
-	case TypeCorpus:
-		type out struct {
-			line string
-			err  error
-		}
-		results, err := engine.MapCtx(ctx, sp.Parallel, r.scenarios,
-			func(ctx context.Context, i int, sc *scenario.Scenario) out {
-				line, _ := sc.Line()
-				_, outcome, cerr := scenario.Check(ctx, sp.budgeted(sc))
-				if cerr != nil && !errors.Is(cerr, scenario.ErrExpectation) {
-					return out{err: cerr}
-				}
-				status := "ok"
-				if cerr != nil {
-					status = fmt.Sprintf("FAIL (outcome %s, want %s)", outcome, sc.Expectation())
-				}
-				progress(fmt.Sprintf("corpus %d/%d: %s", i+1, len(r.scenarios), status))
-				return out{line: fmt.Sprintf("%s %s", status, line)}
-			})
-		if err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		failed := 0
-		for _, o := range results {
-			if o.err != nil {
-				return nil, o.err
-			}
-			if strings.HasPrefix(o.line, "FAIL") {
-				failed++
-			}
-			b.WriteString(o.line)
-			b.WriteByte('\n')
-		}
-		if failed > 0 {
-			return []byte(b.String()), fmt.Errorf("%d of %d corpus scenario(s) missed their expectation", failed, len(results))
-		}
-		return []byte(b.String()), nil
-
-	case TypeBench:
-		recs, err := scenario.RunCtx(ctx, r.bench, false)
-		if err != nil {
-			return nil, err
-		}
-		progress(fmt.Sprintf("bench %s: %d record(s)", r.bench.Name, len(recs)))
-		// The canonical capture encoding: deterministic bytes, directly
-		// diffable against a cedarbench run of the same document.
-		return scenario.EncodeCapture(recs)
+		return piece{text: text}, fmt.Sprintf("replayed %s: outcome %s", line, outcome)
 	}
-	return nil, fmt.Errorf("unknown job type %q", sp.Type)
+	// A bench piece is the canonical capture encoding: deterministic
+	// bytes, directly diffable against a cedarbench run of the same
+	// document. A met non-ok expectation captures no records.
+	var recs []scenario.Record
+	if outcome == scenario.ExpectOK {
+		if recs, err = sc.Records(run, 0); err != nil {
+			return piece{err: err}, ""
+		}
+	}
+	capture, err := scenario.EncodeCapture(recs)
+	if err != nil {
+		return piece{err: err}, ""
+	}
+	return piece{text: string(capture)}, fmt.Sprintf("bench %s: %d record(s)", sc.Name, len(recs))
 }
 
 // Job states.
@@ -418,9 +345,9 @@ type Job struct {
 	result []byte
 	events []ProgressEvent
 
-	res      resolved
-	cancel   context.CancelFunc // set while running
-	canceled bool               // client asked for cancellation
+	scenarios []*scenario.Scenario // what Validate resolved
+	cancel    context.CancelFunc   // set while running
+	canceled  bool                 // client asked for cancellation
 }
 
 // JobView is the JSON shape of GET /jobs/{id}.

@@ -249,13 +249,13 @@ func (s *Server) resume() error {
 	}
 	for _, pj := range pending {
 		job := &Job{ID: pj.ID, Spec: pj.Spec, State: StateQueued, SubmittedAt: pj.SubmittedAt}
-		if res, verr := job.Spec.Validate(); verr != nil {
+		if scs, verr := job.Spec.Validate(); verr != nil {
 			job.State = StateFailed
 			job.Error = fmt.Sprintf("resumed job no longer valid: %v", verr)
 			job.FinishedAt = time.Now()
 			s.retainLocked(job)
 		} else {
-			job.res = res
+			job.scenarios = scs
 			if !s.q.push(job) {
 				job.State = StateFailed
 				job.Error = "resumed queue exceeds the configured queue depth"
@@ -581,7 +581,7 @@ func (s *Server) attempt(jobCtx context.Context, job *Job, attempt int, deadline
 		ctx, cancel = context.WithTimeout(jobCtx, deadline)
 		defer cancel()
 	}
-	payload, err = job.Spec.execute(ctx, job.res, func(msg string) { s.addEvent(job, msg) })
+	payload, err = job.Spec.execute(ctx, job.scenarios, func(msg string) { s.addEvent(job, msg) })
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) && jobCtx.Err() == nil {
 			s.met.deadlines.Inc()

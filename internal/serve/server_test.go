@@ -152,12 +152,22 @@ var smallSim = JobSpec{Type: TypeSimulate, App: "FLO52", Config: "8proc", Steps:
 // error (it seeds testdata/faultcorpus as well).
 const okScenario = "app=FLO52 config=8proc steps=1 seed=3327910339796038169 plan=ce:1@76414"
 
+// mustRun is cedar.SimulateRunErr, failing the test on error.
+func mustRun(t *testing.T, app perfect.App, cfg arch.Config, opts cedar.Options) *cedar.Run {
+	t.Helper()
+	run, err := cedar.SimulateRunErr(app, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 // smallSimWant computes the reference result: the same invocation
 // through the plain facade (what cedarsim -statfx prints).
 func smallSimWant(t *testing.T) string {
 	t.Helper()
 	app, _ := perfect.ByName("FLO52")
-	return cedar.SimulateRun(app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
+	return mustRun(t, app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
 }
 
 // The determinism acceptance gate: a job run via the service — cold
@@ -798,6 +808,7 @@ func TestBadRequests(t *testing.T) {
 		{JobSpec{Type: "replay", Scenario: "not a scenario"}, "replay"},
 		{JobSpec{Type: "corpus"}, "without scenario lines"},
 		{JobSpec{Type: "simulate", App: "FLO52", Config: "8proc", DeadlineMS: -1}, "deadline_ms"},
+		{JobSpec{Type: "simulate", App: "FLO52", Config: "8proc", Steps: -3}, "negative steps"},
 	}
 	for _, c := range cases {
 		status, _, body := submit(t, ts, c.spec)
@@ -1030,7 +1041,7 @@ func TestBenchJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scenario.Run(sc, false)
+	recs, err := scenario.RunCtx(context.Background(), sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

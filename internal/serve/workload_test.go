@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestSimulateJobInlineWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cedar.SimulateRun(app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
+	want := mustRun(t, app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
 
 	cfg := fastCfg()
 	cfg.CacheDir = t.TempDir()
@@ -82,7 +83,7 @@ func TestSimulateJobGenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cedar.SimulateRun(app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
+	want := mustRun(t, app, arch.Cedar8, cedar.Options{Steps: 2}).StatfxText()
 
 	cfg := fastCfg()
 	cfg.CacheDir = t.TempDir()
@@ -138,7 +139,7 @@ func TestBenchJobInlineWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scenario.Run(sc, false)
+	recs, err := scenario.RunCtx(context.Background(), sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

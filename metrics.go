@@ -15,7 +15,7 @@ import (
 // every CE's per-category account as a bivariate distribution, the hpm
 // event counts, and the drop/overflow counters of each bounded buffer.
 //
-// The registry is built lazily so an unobserved Simulate pays nothing
+// The registry is built lazily so an unobserved run pays nothing
 // for it; StatfxText renders from the same registry, which is what
 // makes the accounting block and the metric exporters structurally
 // consistent.

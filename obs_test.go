@@ -17,7 +17,7 @@ import (
 // observedRun is the FLO52/Cedar16 run the acceptance checks share.
 func observedRun(t *testing.T) *Run {
 	t.Helper()
-	return SimulateRun(perfect.FLO52(), arch.Cedar16, Options{
+	return mustRun(t, perfect.FLO52(), arch.Cedar16, Options{
 		Steps:         1,
 		TraceCapacity: 1 << 20,
 		Observe:       &obs.Options{},
@@ -28,7 +28,7 @@ func observedRun(t *testing.T) *Run {
 // span recording happens outside virtual time, so an observed run must
 // complete in exactly the same number of cycles as an unobserved one.
 func TestObservationDoesNotPerturbSimulation(t *testing.T) {
-	plain := Simulate(perfect.FLO52(), arch.Cedar16, Options{Steps: 1})
+	plain := mustRun(t, perfect.FLO52(), arch.Cedar16, Options{Steps: 1}).Result
 	seen := observedRun(t)
 	if plain.CT != seen.Result.CT {
 		t.Fatalf("observation changed the run: CT %d (plain) vs %d (observed)",
@@ -134,7 +134,7 @@ func TestFoldedProfileBudget(t *testing.T) {
 // mean to track the integrated value (the convergence property
 // TestSamplerConvergesToExact characterizes).
 func TestSeriesMatchesStatfx(t *testing.T) {
-	run := SimulateRun(perfect.FLO52(), arch.Cedar16, Options{
+	run := mustRun(t, perfect.FLO52(), arch.Cedar16, Options{
 		Steps:           1,
 		SamplerInterval: 500,
 		Observe:         &obs.Options{SeriesInterval: 500},
@@ -195,7 +195,7 @@ func TestSeriesMatchesStatfx(t *testing.T) {
 // option, no recorder, and the nil recorder tolerates every call the
 // wired subsystems might make.
 func TestObserveDisabledHasNoRecorder(t *testing.T) {
-	run := SimulateRun(perfect.FLO52(), arch.Cedar4, Options{Steps: 1})
+	run := mustRun(t, perfect.FLO52(), arch.Cedar4, Options{Steps: 1})
 	if run.Obs != nil || run.Series != nil {
 		t.Fatal("recorder present without Options.Observe")
 	}

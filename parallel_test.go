@@ -33,13 +33,13 @@ func renderSweeps(sweeps []*core.Sweep) string {
 
 func TestSweepParallelByteIdentical(t *testing.T) {
 	app := perfect.FLO52()
-	seq := Sweep(app, Options{Steps: 1, Parallel: 1})
+	seq := Sweeps([]perfect.App{app}, Options{Steps: 1, Parallel: 1})[0]
 	for _, workers := range []int{2, 4, 16} {
-		par := Sweep(app, Options{Steps: 1, Parallel: workers})
+		par := Sweeps([]perfect.App{app}, Options{Steps: 1, Parallel: workers})[0]
 		a := renderSweeps([]*core.Sweep{seq})
 		b := renderSweeps([]*core.Sweep{par})
 		if a != b {
-			t.Fatalf("Sweep output differs between -parallel 1 and -parallel %d:\n%s\nvs\n%s",
+			t.Fatalf("Sweeps output differs between -parallel 1 and -parallel %d:\n%s\nvs\n%s",
 				workers, a, b)
 		}
 	}

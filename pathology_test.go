@@ -24,7 +24,7 @@ func pathApp(name string, dataWords int64, hit float64, phases ...perfect.Phase)
 func TestPathologyDetectorsHealthy(t *testing.T) {
 	for _, app := range perfect.Registry() {
 		for _, cfg := range []arch.Config{arch.Cedar8, arch.Cedar32} {
-			run := SimulateRun(app, cfg, Options{Steps: 2})
+			run := mustRun(t, app, cfg, Options{Steps: 2})
 			if p := run.Pathologies(); len(p) != 0 {
 				t.Errorf("%s on %s: unexpected pathologies %v", app.Name, cfg.Name, p)
 			}
@@ -69,7 +69,7 @@ func TestPathologyDetectorsPositive(t *testing.T) {
 		if err := tc.app.Validate(); err != nil {
 			t.Fatalf("%s: %v", tc.app.Name, err)
 		}
-		run := SimulateRun(tc.app, arch.Cedar8, Options{})
+		run := mustRun(t, tc.app, arch.Cedar8, Options{})
 		if got := run.Pathologies(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: Pathologies() = %v, want %v", tc.app.Name, got, tc.want)
 		}
@@ -82,9 +82,9 @@ func TestPathologiesDeterministic(t *testing.T) {
 	app := pathApp("hot", 4096, 0.98, perfect.Phase{
 		Name: "h", Kind: perfect.PhaseX, Repeat: 8, Inner: 2048,
 		Work: 10, GMWords: 4, GMStride: 32})
-	first := SimulateRun(app, arch.Cedar8, Options{}).Pathologies()
+	first := mustRun(t, app, arch.Cedar8, Options{}).Pathologies()
 	for i := 0; i < 2; i++ {
-		if got := SimulateRun(app, arch.Cedar8, Options{}).Pathologies(); !reflect.DeepEqual(got, first) {
+		if got := mustRun(t, app, arch.Cedar8, Options{}).Pathologies(); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d: Pathologies() = %v, previously %v", i+2, got, first)
 		}
 	}

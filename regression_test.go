@@ -1,6 +1,7 @@
 package cedar_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/scenario"
@@ -29,7 +30,7 @@ metrics:
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scenario.Run(sc, false)
+	recs, err := scenario.RunCtx(context.Background(), sc, false)
 	if err != nil {
 		t.Fatalf("healthy run failed: %v", err)
 	}

@@ -16,7 +16,7 @@ func TestScaledConfigsSimulate(t *testing.T) {
 	for _, cfg := range arch.ScaledConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name, func(t *testing.T) {
-			res := Simulate(perfect.FLO52(), cfg, Options{Steps: 1})
+			res := mustRun(t, perfect.FLO52(), cfg, Options{Steps: 1}).Result
 			if res.CT <= 0 {
 				t.Fatal("no completion time")
 			}
@@ -42,7 +42,7 @@ func TestScaledConfigsSimulate(t *testing.T) {
 // stay consistent at a scale the golden tables do not cover.
 func TestScaled1024Smoke(t *testing.T) {
 	cfg := arch.Scaled1024
-	res := Simulate(perfect.FLO52(), cfg, Options{Steps: 1})
+	res := mustRun(t, perfect.FLO52(), cfg, Options{Steps: 1}).Result
 	if res.CT <= 0 {
 		t.Fatal("no completion time")
 	}
@@ -72,8 +72,8 @@ func TestScaled1024Smoke(t *testing.T) {
 func TestScaledContention(t *testing.T) {
 	app := perfect.OCEAN()
 	opts := Options{Steps: 2}
-	base := Simulate(app, arch.Cedar1, opts)
-	r64 := Simulate(app, arch.Scaled64, opts)
+	base := mustRun(t, app, arch.Cedar1, opts).Result
+	r64 := mustRun(t, app, arch.Scaled64, opts).Result
 	if sp := r64.Speedup(base); sp <= 1 {
 		t.Fatalf("64-CE speedup %v <= 1", sp)
 	}

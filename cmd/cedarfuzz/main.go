@@ -126,11 +126,15 @@ func replayCorpus(dir string, parallel int) (failures int) {
 // documents. Scenarios (including any shrinking, which is per-scenario
 // deterministic) run concurrently; results print in schedule order.
 func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, parallel int) (failures int) {
-	cfg, ok := arch.FamilyByName(configName)
-	if !ok {
-		fatalf(2, "unknown configuration %q", configName)
+	base := &scenario.Scenario{Name: "sweep", App: appName, Config: configName,
+		Steps: steps, Scale: 1, WallTol: 0.5}
+	if err := base.Validate(); err != nil {
+		fatalf(2, "%v", err)
 	}
-	base, err := scenario.FromRun("sweep", appName, cfg, cedar.Options{Steps: steps}, scenario.ExpectOK)
+	if err := base.PinSeed(); err != nil {
+		fatalf(2, "%v", err)
+	}
+	app, cfg, err := base.Resolve()
 	if err != nil {
 		fatalf(2, "%v", err)
 	}
@@ -140,10 +144,6 @@ func sweep(appName, configName string, steps int, seed int64, n, shrinkRuns, par
 	fmt.Printf("sweep: %s on %s, %d scenario(s), seed %d (reproduce with -seed %d)\n",
 		appName, cfg.Name, n, seed, seed)
 
-	app, _, err := base.Resolve()
-	if err != nil {
-		fatalf(1, "%v", err)
-	}
 	windows, err := faultWindows(app, cfg, base.Options())
 	if err != nil {
 		fatalf(1, "healthy window-discovery run failed: %v", err)

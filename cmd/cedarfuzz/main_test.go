@@ -52,8 +52,9 @@ func TestShrinkDeadlock(t *testing.T) {
 	for ce := 0; ce < arch.Cedar16.CEsPerCluster; ce++ {
 		plan = append(plan, faults.Event{Kind: faults.CEFail, Target: ce, At: 50_000})
 	}
-	sc, err := scenario.FromRun("kill", "FLO52", arch.Cedar16, cedar.Options{Steps: 1, Faults: plan}, scenario.ExpectOK)
-	if err != nil {
+	sc := &scenario.Scenario{Name: "kill", App: "FLO52", Config: arch.Cedar16.Name,
+		Steps: 1, Scale: 1, Plan: plan, WallTol: 0.5}
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	shrunk, runs, err := shrink(sc, 24)

@@ -12,27 +12,17 @@ import (
 
 	cedar "repro"
 	"repro/internal/arch"
-	"repro/internal/faults"
 	"repro/internal/perfect"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 )
 
-// runStatfx runs the selected simulation locally and prints only its
-// canonical statfx accounting block — the byte-stable text a
-// cedarserved job returns for the same invocation, so the two are
-// directly diffable. A -metrics path still works here (written to its
-// own file; drop warnings go to stderr), keeping stdout byte-stable.
-func runStatfx(app perfect.App, cfg arch.Config, opts cedar.Options, faultSpec string, exp exporter) {
-	if faultSpec != "" {
-		plan, err := faults.Parse(faultSpec)
-		if err != nil {
-			usageErr("%v", err)
-		}
-		if err := plan.Validate(cfg); err != nil {
-			usageErr("%v", err)
-		}
-		opts.Faults = plan
-	}
+// runStatfx runs the scenario locally and prints only its canonical
+// statfx accounting block — the byte-stable text a cedarserved job
+// returns for the same scenario, so the two are directly diffable. A
+// -metrics path still works here (written to its own file; drop
+// warnings go to stderr), keeping stdout byte-stable.
+func runStatfx(app perfect.App, cfg arch.Config, opts cedar.Options, exp exporter) {
 	run, err := cedar.SimulateRunErr(app, cfg, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
@@ -42,26 +32,46 @@ func runStatfx(app perfect.App, cfg arch.Config, opts cedar.Options, faultSpec s
 	exp.write(run)
 }
 
-// runRemote submits the invocation to a cedarserved instance as a
-// simulate job, polls it to a terminal state, and prints the job's
-// canonical statfx result — byte-identical to what -statfx prints
-// locally for the same app, configuration, steps, and plan. A
-// non-empty workload is the inline document or gen: spec to submit in
-// place of the registry name, so the server never resolves (or caches
-// under) a name it doesn't know.
-func runRemote(server string, app perfect.App, workload string, cfg arch.Config, steps int, faultSpec string) {
-	base := strings.TrimRight(server, "/")
+// jobSpec turns the scenario into the simulate job that runs it on a
+// cedarserved instance. A single-line app source (registry name or
+// gen: spec) travels as the job's app, whichever key the scenario
+// spelled it with, and an inline workload document as its workload, so
+// one run has one cache address. The service runs a simulate job
+// unscaled and expects it to complete; a scenario that asks for
+// anything else is refused rather than silently run differently.
+func jobSpec(sc *scenario.Scenario) (serve.JobSpec, error) {
+	if f := sc.ScaleFactor(); f != 1 {
+		return serve.JobSpec{}, fmt.Errorf("scenario %s: scale %d: the service runs simulate jobs unscaled (scale=1)", sc.Name, f)
+	}
+	if e := sc.Expectation(); e != scenario.ExpectOK {
+		return serve.JobSpec{}, fmt.Errorf("scenario %s: expect %s: the service only runs scenarios expected to complete (use -replay)", sc.Name, e)
+	}
 	spec := serve.JobSpec{
-		Type:   serve.TypeSimulate,
-		Config: cfg.Name,
-		Steps:  steps,
-		Plan:   faultSpec,
+		Type:      serve.TypeSimulate,
+		Config:    sc.Config,
+		Steps:     sc.Steps,
+		Seed:      sc.Seed,
+		Plan:      sc.Plan.String(),
+		MaxCycles: sc.MaxCycles,
 	}
-	if workload != "" {
-		spec.Workload = workload
+	if src := sc.App + sc.Workload; strings.Contains(src, "\n") {
+		spec.Workload = src
 	} else {
-		spec.App = app.Name
+		spec.App = src
 	}
+	return spec, nil
+}
+
+// runRemote submits the scenario to a cedarserved instance as a
+// simulate job (see jobSpec), polls it to a terminal state, and prints
+// the job's canonical statfx result — byte-identical to what -statfx
+// prints locally for the same scenario.
+func runRemote(server string, sc *scenario.Scenario) {
+	spec, err := jobSpec(sc)
+	if err != nil {
+		usageErr("-server: %v", err)
+	}
+	base := strings.TrimRight(server, "/")
 	body, err := json.Marshal(spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)

@@ -1,86 +1,77 @@
-// Command cedarsim runs one application on one Cedar configuration
-// with full instrumentation and prints the complete measurement
-// report: completion time, speedup-relevant statistics, the
-// completion-time breakdown, the user-time breakdown per task, the
-// detailed OS overhead table, and the contention estimate (when the
-// 1-processor baseline is also run).
+// Command cedarsim runs one scenario with full instrumentation and
+// prints the complete measurement report: completion time,
+// speedup-relevant statistics, the completion-time breakdown, the
+// user-time breakdown per task, the detailed OS overhead table, and the
+// contention estimate (when the 1-processor baseline is also run).
 //
 // Usage:
 //
-//	cedarsim [-app FLO52 | -workload file.workload | -gen seed=7,hot=1]
-//	         [-list-apps] [-scenario file.scenario]
-//	         [-ces 32] [-steps N] [-flat] [-no-baseline]
-//	         [-config 64proc] [-clusters N -ces-per-cluster N
-//	          -gm-modules N -stages N -degree N] [-list-configs]
-//	         [-fault ce:2@1e6,module:17@5e5]
-//	         [-record-scenario new.scenario]
-//	         [-replay 'app=FLO52 config=8proc ... plan=ce:1@76414']
-//	         [-trace out.json] [-profile out.folded] [-series out.csv|out.prom]
-//	         [-metrics out.prom|out.json|out.csv]
-//	         [-parallel N] [-statfx] [-server http://host:8344]
+//	cedarsim [flags] SCENARIO
+//	cedarsim -list-apps | -list-configs
 //
-// Independent simulations within one invocation — the measured run and
-// its 1-processor baseline, the healthy/degraded pair of a -fault
-// comparison, and the two runs of a -replay — execute
-// through the deterministic parallel engine; -parallel bounds the
-// worker count (default GOMAXPROCS, 1 forces sequential). Each
-// simulation owns its kernel and seed, so the printed report is
-// identical at any setting.
+// SCENARIO is the one description of the run (see internal/scenario):
+// a path ending in .scenario, loaded as a document, or the one-line
+// form, for example
 //
-// The machine defaults to the paper configuration selected by -ces
-// (1, 4, 8, 16, or 32 — the closed list the paper measures). -config
-// selects any named family member (see -list-configs), and the
-// parametric flags build a custom machine validated by
-// arch.Config.Validate, whose error names the violated topology
-// constraint.
+//	cedarsim 'app=FLO52 config=8proc steps=2 plan='
+//	cedarsim -statfx 'app=OCEAN config=8proc steps=2 plan=ce:1@76414'
+//	cedarsim -no-baseline testdata/scenarios/flo52-scaled64.scenario
 //
-// With -fault, the run is repeated healthy and degraded and a
-// baseline-vs-degraded overhead-decomposition delta table is printed.
-// -record-scenario writes the fault run as a new scenario document
-// (app source, config, steps, resolved seed, plan, observed outcome;
-// see internal/scenario) and refuses to overwrite an existing file;
-// -replay takes a scenario line or a path to a .scenario document and
-// re-runs it twice, bit-identically, verifying its expectation. The
-// simulation is deterministic in virtual time, so a recorded scenario
-// is a complete, stable reproduction of the run it came from.
+// The scenario names the application (a registry name, see -list-apps,
+// a gen: spec, or an inline workload document), the machine (a named
+// family member, see -list-configs), the steps, weak-scale factor,
+// kernel seed, fault plan and cycle budget. A line without scale= runs
+// unscaled; a document's scale defaults to auto. The flags choose only
+// what is printed or exported, and come before the scenario.
 //
-// The application is a workload source: -app takes a registry name
-// (see -list-apps) or a single-line gen: spec, -workload runs a
-// .workload document file, and -gen samples the parametric generator
-// (internal/perfect/gen). -scenario runs one .scenario file and prints
-// its canonical record capture — byte-diffable against cedarbench and
-// a cedarserved bench job of the same document.
+// A healthy scenario prints the report. A scenario with a fault plan
+// is run healthy and degraded instead, and a baseline-vs-degraded
+// overhead-decomposition delta table is printed. Independent
+// simulations within one invocation — the measured run and its
+// 1-processor baseline, the healthy/degraded pair, the two runs of a
+// -replay — execute through the deterministic parallel engine;
+// -parallel bounds the worker count (default GOMAXPROCS, 1 forces
+// sequential). Each simulation owns its kernel and seed, so the printed
+// report is identical at any setting. The scenario's cycle budget, if
+// any, bounds every one of them.
+//
+// -record-scenario writes the report's scenario as a new document
+// (named after the file, its seed pinned to the one the run used,
+// expect: set to the observed outcome) and refuses to overwrite an
+// existing file.
+// -replay runs the scenario twice, bit-identically, and verifies its
+// expectation. The simulation is deterministic in virtual time, so a
+// recorded scenario is a complete, stable reproduction of its run.
+// cedarbench -run NAME prints a scenario's record capture.
 //
 // -statfx prints only the run's canonical statfx accounting block
-// (Run.StatfxText). -server submits the same invocation to a running
-// cedarserved instance (see cmd/cedarserved) and prints the job's
-// result — byte-identical to the -statfx output for the same app,
-// configuration, steps, and fault plan. Generated and document
-// workloads travel to the server inline (the canonical document text),
-// so their results cache under the full workload identity.
+// (Run.StatfxText). -server submits the scenario to a running
+// cedarserved instance (see cmd/cedarserved) as a simulate job and
+// prints the job's result — byte-identical to the -statfx output. A
+// single-line app source travels as the job's app, an inline workload
+// document as its workload; the service runs unscaled scenarios that
+// are expected to complete, and -server refuses any other.
 //
 // The observability flags arm the obs layer: -trace writes a
 // Chrome/Perfetto trace-event file (load it at ui.perfetto.dev),
 // -profile writes folded stacks weighted by virtual cycles (feed to
 // flamegraph.pl or inferno), and -series writes the sampled time
 // series as CSV, or as Prometheus text exposition when the path ends
-// in .prom. With -fault they export the degraded run. -metrics writes
-// the run's full metric registry snapshot — the same source of truth
-// StatfxText and cedarserved's /metrics render — in the format the
-// extension selects (.prom, .json, or CSV); unlike the other three it
-// works without arming the obs layer. Whenever a bounded
+// in .prom. With a fault plan they export the degraded run. -metrics
+// writes the run's full metric registry snapshot — the same source of
+// truth StatfxText and cedarserved's /metrics render — in the format
+// the extension selects (.prom, .json, or CSV); unlike the other three
+// it works without arming the obs layer. Whenever a bounded
 // instrumentation buffer overflowed, a one-line warning on stderr
 // reports the total dropped-event count.
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -96,25 +87,7 @@ import (
 	"repro/internal/profio"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-
-	// Link the generator so -gen and gen: app sources resolve.
-	_ "repro/internal/perfect/gen"
 )
-
-// supportedCEs lists the CE counts of the paper configurations, for
-// error messages.
-func supportedCEs() string {
-	var counts []int
-	for _, c := range arch.PaperConfigs() {
-		counts = append(counts, c.CEs())
-	}
-	sort.Ints(counts)
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = fmt.Sprint(n)
-	}
-	return strings.Join(parts, ", ")
-}
 
 // printConfigs lists every named member of the machine family with its
 // topology (the -list-configs output).
@@ -132,8 +105,8 @@ func printConfigs() {
 	}
 }
 
-// printApps lists the built-in application registry — the names the
-// resolver accepts as bare -app values (the -list-apps output).
+// printApps lists the built-in application registry — the names a
+// scenario's app accepts (the -list-apps output).
 func printApps() {
 	fmt.Printf("%-12s %6s %7s %11s %12s\n",
 		"name", "steps", "phases", "iterations", "data words")
@@ -141,28 +114,6 @@ func printApps() {
 		fmt.Printf("%-12s %6d %7d %11d %12d\n",
 			a.Name, a.Steps, len(a.Phases), a.TotalIterations(), a.DataWords)
 	}
-}
-
-// runScenario executes one .scenario file and prints its canonical
-// record capture — byte-diffable against the same scenario's records
-// in a cedarbench capture or a cedarserved bench job result.
-func runScenario(path string, parallel int) {
-	sc, err := scenario.LoadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
-		os.Exit(2)
-	}
-	recs, err := scenario.RunAll(context.Background(), []*scenario.Scenario{sc}, parallel, false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
-		os.Exit(1)
-	}
-	out, err := scenario.EncodeCapture(recs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
-		os.Exit(1)
-	}
-	os.Stdout.Write(out)
 }
 
 // usageErr prints the message plus flag usage and exits with status 2
@@ -174,27 +125,11 @@ func usageErr(format string, args ...any) {
 }
 
 func main() {
-	appName := flag.String("app", "FLO52", "application: a registry name (see -list-apps) or a gen: spec")
-	workloadPath := flag.String("workload", "", "run a .workload document file instead of -app")
-	genSpec := flag.String("gen", "", "generate the app from a gen: spec, e.g. seed=7,hot=1 (see internal/perfect/gen)")
 	listApps := flag.Bool("list-apps", false, "print the built-in application registry and exit")
-	scenarioPath := flag.String("scenario", "", "run one .scenario file and print its canonical record capture")
-	ces := flag.Int("ces", 32, "processor count: 1, 4, 8, 16, or 32")
-	configName := flag.String("config", "", "named machine family member (see -list-configs)")
-	clusters := flag.Int("clusters", 0, "custom machine: cluster count")
-	cesPer := flag.Int("ces-per-cluster", 0, "custom machine: CEs per cluster")
-	gmModules := flag.Int("gm-modules", 0, "custom machine: global memory modules (default 32)")
-	stages := flag.Int("stages", 0, "custom machine: network stages (default 2)")
-	degree := flag.Int("degree", 0, "custom machine: crossbar switch degree (default 8)")
 	listConfigs := flag.Bool("list-configs", false, "print all named machine configurations and exit")
-	steps := flag.Int("steps", 0, "override timestep count (0 = app default)")
-	flat := flag.Bool("flat", false, "run the unclustered 32-processor machine (Section 6 discussion)")
 	noBase := flag.Bool("no-baseline", false, "skip the 1-processor baseline (no contention estimate)")
-	chunk := flag.Int("chunk", 0, "XDOALL pickup chunk size (>1 amortizes the iteration lock)")
-	tree := flag.Int("tree", 0, "combining-tree fanout for the flat machine's barriers (>1 enables)")
-	faultSpec := flag.String("fault", "", "fault plan, e.g. ce:2@1e6,module:17@5e5 (see internal/faults)")
-	replayArg := flag.String("replay", "", "replay a recorded scenario: a scenario line, or a path to a .scenario document")
-	recordPath := flag.String("record-scenario", "", "with -fault: record the run as a new scenario document at this path")
+	replay := flag.Bool("replay", false, "run the scenario twice, bit-identically, and verify its expected outcome")
+	recordPath := flag.String("record-scenario", "", "record the run as a new scenario document at this path (seed pinned, expect: the observed outcome)")
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file")
 	profilePath := flag.String("profile", "", "write a folded-stack profile weighted by virtual cycles")
 	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the simulator process (wall-clock, not virtual cycles)")
@@ -202,8 +137,15 @@ func main() {
 	seriesPath := flag.String("series", "", "write the sampled time series (CSV, or Prometheus text if *.prom)")
 	metricsPath := flag.String("metrics", "", "write the run's metric registry snapshot (Prometheus text if *.prom, JSON if *.json, CSV otherwise)")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential; output is identical at any setting)")
-	serverURL := flag.String("server", "", "submit the run to a cedarserved instance at this URL and print its canonical statfx result")
-	statfx := flag.Bool("statfx", false, "run locally and print only the canonical statfx accounting block (byte-diffable against a -server run)")
+	serverURL := flag.String("server", "", "submit the scenario to a cedarserved instance at this URL and print its canonical statfx result")
+	statfx := flag.Bool("statfx", false, "print only the canonical statfx accounting block (byte-diffable against a -server run)")
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "usage: cedarsim [flags] SCENARIO\n\n"+
+			"SCENARIO is a .scenario file or a one-line scenario, e.g.\n"+
+			"  'app=FLO52 config=8proc steps=2 plan='\n\nflags:\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if *listConfigs {
@@ -214,9 +156,20 @@ func main() {
 		printApps()
 		return
 	}
-	if *scenarioPath != "" {
-		runScenario(*scenarioPath, *parallel)
-		return
+	if flag.NArg() != 1 {
+		usageErr("want one scenario argument, got %d", flag.NArg())
+	}
+	sc, err := scenario.Load(flag.Arg(0))
+	if err != nil {
+		usageErr("%v", err)
+	}
+	if *recordPath != "" {
+		if *serverURL != "" || *replay || *statfx {
+			usageErr("-record-scenario records the report's run, not a -server, -replay or -statfx one")
+		}
+		if _, err := os.Stat(*recordPath); err == nil {
+			usageErr("-record-scenario %s already exists", *recordPath)
+		}
 	}
 	stopProf, err := profio.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -228,180 +181,41 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cedarsim: profile: %v\n", err)
 		}
 	}()
-	if *replayArg != "" {
-		// A scenario carries its own app, config, steps, and seed; the
-		// selection flags do not apply to a replay.
-		runReplay(*replayArg, *parallel)
+
+	switch {
+	case *serverURL != "":
+		runRemote(*serverURL, sc)
+		return
+	case *replay:
+		runReplay(sc, *parallel)
 		return
 	}
-	if *recordPath != "" && *faultSpec == "" {
-		usageErr("-record-scenario needs a -fault plan to record")
+	app, cfg, err := sc.Resolve()
+	if err != nil {
+		usageErr("%v", err)
 	}
-	if _, err := os.Stat(*recordPath); *recordPath != "" && err == nil {
-		usageErr("-record-scenario %s already exists", *recordPath)
-	}
-	if *steps < 0 {
-		usageErr("-steps %d is negative", *steps)
-	}
-	if *chunk < 0 {
-		usageErr("-chunk %d is negative", *chunk)
-	}
-	if *tree < 0 {
-		usageErr("-tree %d is negative", *tree)
-	}
-	if *flat {
-		// -flat fixes the machine at 32 unclustered CEs; an explicit
-		// contradictory -ces is a mistake, not something to ignore.
-		explicitCEs := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "ces" {
-				explicitCEs = true
-			}
-		})
-		if explicitCEs && *ces != 32 {
-			usageErr("-flat implies 32 CEs; contradictory -ces %d", *ces)
-		}
-	}
-
-	// The three workload sources are mutually exclusive; -app only
-	// conflicts when set explicitly (it has a default).
-	explicitApp := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "app" {
-			explicitApp = true
-		}
-	})
-	if *workloadPath != "" && *genSpec != "" {
-		usageErr("-workload and -gen are mutually exclusive")
-	}
-	if explicitApp && (*workloadPath != "" || *genSpec != "") {
-		usageErr("-app conflicts with -workload and -gen")
-	}
-	// remoteWorkload is the inline source a -server run submits instead
-	// of a registry name: the gen: spec verbatim, or the canonical
-	// document text of a -workload file (the server must not read
-	// client-side paths). source is the app as -record-scenario writes
-	// it: a registry name or gen: spec verbatim, else the canonical
-	// document text.
-	var app perfect.App
-	var remoteWorkload, source string
-	switch {
-	case *genSpec != "":
-		src := *genSpec
-		if !strings.HasPrefix(src, perfect.GenPrefix) {
-			src = perfect.GenPrefix + src
-		}
-		if app, err = (perfect.Resolver{}).Resolve(src); err != nil {
-			usageErr("%v", err)
-		}
-		remoteWorkload, source = src, src
-	case *workloadPath != "":
-		if app, err = perfect.LoadWorkload(*workloadPath); err != nil {
-			usageErr("%v", err)
-		}
-		remoteWorkload = string(perfect.PrintWorkload(app))
-		source = remoteWorkload
-	default:
-		if app, err = (perfect.Resolver{AllowFiles: true}).Resolve(*appName); err != nil {
-			usageErr("%v", err)
-		}
-		source = app.Name
-		switch {
-		case strings.HasPrefix(*appName, perfect.GenPrefix):
-			remoteWorkload = string(perfect.PrintWorkload(app))
-			source = *appName
-		case strings.Contains(*appName, "\n") || strings.HasSuffix(*appName, perfect.WorkloadExt):
-			remoteWorkload = string(perfect.PrintWorkload(app))
-			source = remoteWorkload
-		}
-	}
-
-	custom := *clusters != 0 || *cesPer != 0 || *gmModules != 0 || *stages != 0 || *degree != 0
-	var cfg arch.Config
-	switch {
-	case custom:
-		// A custom parametric machine: unset dimensions keep Cedar's
-		// values, and arch.Config.Validate names any violated topology
-		// constraint.
-		if *configName != "" {
-			usageErr("-config %s conflicts with the parametric machine flags", *configName)
-		}
-		if *flat {
-			usageErr("-flat conflicts with the parametric machine flags")
-		}
-		cfg = arch.Cedar32
-		if *clusters > 0 {
-			cfg.Clusters = *clusters
-		}
-		if *cesPer > 0 {
-			cfg.CEsPerCluster = *cesPer
-		}
-		if *gmModules > 0 {
-			cfg.GMModules = *gmModules
-		}
-		if *stages > 0 {
-			cfg.NetStages = *stages
-		}
-		if *degree > 0 {
-			cfg.SwitchDegree = *degree
-		}
-		cfg.Name = fmt.Sprintf("custom-%dx%d", cfg.Clusters, cfg.CEsPerCluster)
-		if err := cfg.Validate(); err != nil {
-			usageErr("%v", err)
-		}
-	case *configName != "":
-		if *flat {
-			usageErr("-flat conflicts with -config")
-		}
-		var ok bool
-		cfg, ok = arch.FamilyByName(*configName)
-		if !ok {
-			usageErr("unknown configuration %q (see -list-configs)", *configName)
-		}
-	case *flat:
-		cfg = arch.Unclustered32
-	default:
-		found := false
-		for _, c := range arch.PaperConfigs() {
-			if c.CEs() == *ces {
-				cfg, found = c, true
-				break
-			}
-		}
-		if !found {
-			usageErr("no paper configuration with %d CEs (supported: %s; use -config or the parametric flags for scaled machines)", *ces, supportedCEs())
-		}
-	}
-
-	opts := cedar.Options{Steps: *steps, XdoallChunk: *chunk, TreeFanout: *tree, Parallel: *parallel}
-
-	// The service modes print the canonical statfx block and nothing
-	// else, so a local and a remote run of the same invocation diff
+	opts := sc.Options()
+	opts.Parallel = *parallel
+	// -statfx and -server print the canonical statfx block and nothing
+	// else, so a local and a remote run of the same scenario diff
 	// byte-for-byte.
-	if *serverURL != "" {
-		if custom {
-			usageErr("-server needs a named configuration the service knows (see -list-configs)")
-		}
-		runRemote(*serverURL, app, remoteWorkload, cfg, *steps, *faultSpec)
-		return
-	}
 	if *statfx {
-		runStatfx(app, cfg, opts, *faultSpec, exporter{metrics: *metricsPath})
+		runStatfx(app, cfg, opts, exporter{metrics: *metricsPath})
 		return
 	}
 
 	exp := exporter{trace: *tracePath, profile: *profilePath, series: *seriesPath, metrics: *metricsPath}
 	if exp.enabled() {
 		// Arm the obs layer; the trace export also needs the hpm
-		// monitor for runtime-structure spans.
+		// monitor for runtime-structure spans. Neither changes results.
 		opts.Observe = &obs.Options{}
-		if exp.trace != "" && opts.TraceCapacity == 0 {
+		if exp.trace != "" {
 			opts.TraceCapacity = 1 << 22
 		}
 	}
 
-	if *faultSpec != "" {
-		runFaulted(app, source, cfg, opts, *faultSpec, *recordPath, exp)
+	if len(opts.Faults) > 0 {
+		runFaulted(sc, app, cfg, opts, *recordPath, exp)
 		return
 	}
 
@@ -416,6 +230,7 @@ func main() {
 		jobs = append(jobs, func() { baseRun, errBase = cedar.SimulateRunErr(app, arch.Cedar1, opts) })
 	}
 	engine.Do(*parallel, jobs...)
+	record(*recordPath, sc, errX)
 	if err := errors.Join(errX, errBase); err != nil {
 		fmt.Fprintf(os.Stderr, "cedarsim: %v\n", err)
 		os.Exit(1)
@@ -588,23 +403,14 @@ func (e exporter) toFile(path string, fn func(*os.File) error) {
 	fmt.Fprintf(os.Stderr, "cedarsim: wrote %s\n", path)
 }
 
-// runReplay re-runs one recorded scenario — a scenario line, or a
-// .scenario document — twice for bit-identity and verifies its
-// declared expectation. Exit status 1 when it misses.
-func runReplay(arg string, parallel int) {
-	var sc *scenario.Scenario
-	var err error
-	where := "command line"
-	if strings.Contains(arg, "plan=") {
-		sc, err = scenario.ParseLine(arg)
-	} else {
-		sc, err = scenario.LoadFile(arg)
-		where = arg
-	}
-	if err != nil {
-		usageErr("-replay: %v", err)
-	}
+// runReplay re-runs the scenario twice for bit-identity and verifies
+// its declared expectation. Exit status 1 when it misses.
+func runReplay(sc *scenario.Scenario, parallel int) {
 	r := scenario.Replay([]*scenario.Scenario{sc}, parallel)[0]
+	where := sc.File
+	if where == "" {
+		where = "command line"
+	}
 	label, err := sc.Line()
 	if err != nil {
 		label = sc.Name // an inline workload has no one-line form
@@ -622,39 +428,55 @@ func runReplay(arg string, parallel int) {
 	}
 }
 
-// recordScenario writes the fault run of source on cfg under opts as a
-// scenario document at path, declaring the observed outcome. It never
-// overwrites an existing file.
-func recordScenario(path, source string, cfg arch.Config, opts cedar.Options, runErr error) (*scenario.Scenario, error) {
-	name := strings.TrimSuffix(filepath.Base(path), scenario.Ext)
-	sc, err := scenario.FromRun(name, source, cfg, opts, scenario.Outcome(runErr))
-	if err != nil {
+// recordScenario writes sc as a new scenario document at path: named
+// after the file's stem, its seed pinned to the one the run used, and
+// expect: set to the outcome runErr shows. It never overwrites an
+// existing file.
+func recordScenario(path string, sc *scenario.Scenario, runErr error) (*scenario.Scenario, error) {
+	rec := *sc
+	rec.Name = strings.TrimSuffix(filepath.Base(path), scenario.Ext)
+	rec.Expect = ""
+	if o := scenario.Outcome(runErr); o != scenario.ExpectOK {
+		rec.Expect = o
+	}
+	if err := rec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := rec.PinSeed(); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	_, werr := f.Write(sc.Document("Recorded by cedarsim -record-scenario."))
+	_, werr := f.Write(rec.Document("Recorded by cedarsim -record-scenario."))
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
-	return sc, werr
+	return &rec, werr
 }
 
-// runFaulted runs the degraded-vs-baseline comparison for one fault
-// plan and prints the decomposition delta table. With recordPath, the
-// degraded run of source (the app's scenario source, see main) is
-// recorded there as a scenario document carrying its observed outcome.
-func runFaulted(app perfect.App, source string, cfg arch.Config, opts cedar.Options, spec, recordPath string, exp exporter) {
-	plan, err := faults.Parse(spec)
+// record writes the run of sc, which ended with runErr, to path (see
+// recordScenario) when path is set. Failed runs are recorded too —
+// deadlocks very much included: a schedule that wedges the machine is
+// exactly what the corpus exists to pin.
+func record(path string, sc *scenario.Scenario, runErr error) {
+	if path == "" {
+		return
+	}
+	rec, err := recordScenario(path, sc, runErr)
 	if err != nil {
-		usageErr("%v", err)
+		fmt.Fprintf(os.Stderr, "cedarsim: -record-scenario: %v\n", err)
+		os.Exit(1)
 	}
-	if err := plan.Validate(cfg); err != nil {
-		usageErr("%v", err)
-	}
+	fmt.Fprintf(os.Stderr, "cedarsim: recorded %s to %s\n", rec.Name, path)
+}
 
+// runFaulted runs the degraded-vs-baseline comparison for the
+// scenario's fault plan (opts.Faults) and prints the decomposition
+// delta table. With recordPath, the degraded run is recorded there.
+func runFaulted(sc *scenario.Scenario, app perfect.App, cfg arch.Config, opts cedar.Options, recordPath string, exp exporter) {
+	plan := opts.Faults
 	fmt.Printf("%s on %s (%d CEs), fault plan %s\n\n", app.Name, cfg.Name, cfg.CEs(), plan)
 	reports, err := cedar.FaultSweep(app, cfg, []faults.Plan{plan}, opts)
 	if err != nil {
@@ -673,19 +495,7 @@ func runFaulted(app perfect.App, source string, cfg arch.Config, opts cedar.Opti
 		}
 		fmt.Println()
 	}
-	if recordPath != "" {
-		// Record the degraded run — deadlocks very much included: a
-		// schedule that wedges the machine is exactly what the corpus
-		// exists to pin.
-		po := opts
-		po.Faults = plan
-		sc, err := recordScenario(recordPath, source, cfg, po, fr.Err)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cedarsim: -record-scenario: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cedarsim: recorded %s to %s\n", sc.Name, recordPath)
-	}
+	record(recordPath, sc, fr.Err)
 	if fr.Err != nil {
 		switch {
 		case errors.Is(fr.Err, sim.ErrDeadlock):

@@ -1,16 +1,19 @@
-// Command cedartrace runs an application with the cedarhpm monitor
-// armed and prints the event trace (or a per-event summary), the way
-// the paper's trace buffers were offloaded to a workstation for
-// analysis.
+// Command cedartrace runs one scenario with the cedarhpm monitor armed
+// and prints the event trace (or a per-event summary), the way the
+// paper's trace buffers were offloaded to a workstation for analysis.
 //
 // Usage:
 //
-//	cedartrace [-app FLO52] [-ces 16] [-config 64proc] [-list-configs]
-//	           [-steps 1] [-max 200] [-summary [-json]] [-hw] [-obs]
+//	cedartrace [-max 200] [-summary [-json]] [-hw] [-obs] SCENARIO
 //
-// -ces selects among the paper's closed configuration list; -config
-// selects any named family member, including the scaled machines
-// (-list-configs prints them all).
+// SCENARIO is the one description of the run (see internal/scenario):
+// a path ending in .scenario, loaded as a document, or the one-line
+// form, for example
+//
+//	cedartrace -summary 'app=FLO52 config=16proc steps=1 plan='
+//
+// Trace volume grows fast with the step count; cedarsim -list-configs
+// and -list-apps name the machines and applications a scenario takes.
 //
 // -summary prints per-event counts and pair durations; with -json the
 // same summary is emitted as a JSON object for scripting. -hw prints
@@ -25,91 +28,50 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	cedar "repro"
-	"repro/internal/arch"
 	"repro/internal/hpm"
 	"repro/internal/obs"
-	"repro/internal/perfect"
+	"repro/internal/scenario"
 )
 
-// supportedCEs lists the CE counts of the paper configurations, for
-// error messages.
-func supportedCEs() string {
-	var counts []int
-	for _, c := range arch.PaperConfigs() {
-		counts = append(counts, c.CEs())
-	}
-	sort.Ints(counts)
-	parts := make([]string, len(counts))
-	for i, n := range counts {
-		parts[i] = fmt.Sprint(n)
-	}
-	return strings.Join(parts, ", ")
-}
-
 func main() {
-	appName := flag.String("app", "FLO52", "application name")
-	ces := flag.Int("ces", 16, "processor count: 1, 4, 8, 16, or 32")
-	configName := flag.String("config", "", "named machine family member (see -list-configs)")
-	listConfigs := flag.Bool("list-configs", false, "print all named machine configurations and exit")
-	steps := flag.Int("steps", 1, "timesteps to run (trace volume grows fast)")
 	max := flag.Int("max", 200, "maximum trace records to print")
 	summary := flag.Bool("summary", false, "print per-event counts and pair durations only")
 	jsonOut := flag.Bool("json", false, "with -summary: emit the summary as JSON")
 	hw := flag.Bool("hw", false, "print hardware counters (module utilization, hot ports, cache)")
 	obsMode := flag.Bool("obs", false, "arm the obs recorder and print a span/series digest")
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "usage: cedartrace [flags] SCENARIO\n\n"+
+			"SCENARIO is a .scenario file or a one-line scenario, e.g.\n"+
+			"  'app=FLO52 config=16proc steps=1 plan='\n\nflags:\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	if *listConfigs {
-		for _, c := range arch.Families() {
-			fmt.Printf("%-10s %3d CEs  %2d clusters x %2d  GM %3d  %d-stage degree-%d\n",
-				c.Name, c.CEs(), c.Clusters, c.CEsPerCluster,
-				c.GMModules, c.NetStages, c.SwitchDegree)
-		}
-		return
-	}
 	if *jsonOut && !*summary {
 		fmt.Fprintln(os.Stderr, "cedartrace: -json requires -summary")
 		os.Exit(2)
 	}
-
-	app, ok := perfect.ByName(*appName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cedartrace: unknown application %q\n", *appName)
+	if flag.NArg() != 1 {
+		fmt.Fprintf(os.Stderr, "cedartrace: want one scenario argument, got %d\n", flag.NArg())
+		flag.Usage()
 		os.Exit(2)
 	}
-	// Exact-match the configuration: a -ces value that matches no paper
-	// configuration must not fall through to the zero arch.Config
-	// (an empty machine would "run" and report nonsense). -config opens
-	// the full named family, scaled machines included.
-	var cfg arch.Config
-	found := false
-	if *configName != "" {
-		cfg, found = arch.FamilyByName(*configName)
-		if !found {
-			fmt.Fprintf(os.Stderr, "cedartrace: unknown configuration %q (use -list-configs)\n", *configName)
-			os.Exit(2)
-		}
-	} else {
-		for _, c := range arch.PaperConfigs() {
-			if c.CEs() == *ces {
-				cfg, found = c, true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "cedartrace: no paper configuration with %d CEs (supported: %s; -config opens the scaled machines)\n",
-				*ces, supportedCEs())
-			os.Exit(2)
-		}
+	sc, err := scenario.Load(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedartrace: %v\n", err)
+		os.Exit(2)
+	}
+	app, cfg, err := sc.Resolve()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cedartrace: %v\n", err)
+		os.Exit(2)
 	}
 
-	opts := cedar.Options{
-		Steps:         *steps,
-		TraceCapacity: 1 << 22,
-	}
+	opts := sc.Options()
+	opts.TraceCapacity = 1 << 22
 	if *obsMode {
 		opts.Observe = &obs.Options{}
 	}

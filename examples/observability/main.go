@@ -4,11 +4,11 @@
 //
 // The same artifacts come from the CLI:
 //
-//	cedarsim -app FLO52 -ces 16 -trace t.json -profile p.folded -series s.csv
+//	cedarsim -trace t.json -profile p.folded -series s.csv 'app=FLO52 config=16proc plan='
 //
 // and machine-readable event summaries from:
 //
-//	cedartrace -app FLO52 -ces 16 -summary -json | jq .event_counts
+//	cedartrace -summary -json 'app=FLO52 config=16proc steps=1 plan=' | jq .event_counts
 package main
 
 import (

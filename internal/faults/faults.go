@@ -4,16 +4,16 @@
 // decomposition.
 //
 // A Plan is an ordered list of typed fault events. The text form,
-// accepted by Parse and the cedarsim -fault flag, is a comma-separated
+// accepted by Parse and a scenario's plan field, is a comma-separated
 // list of
 //
 //	kind:target[xFACTOR]@TIME[+SPAN]
 //
 // where TIME is the virtual cycle the fault fires at (float syntax,
 // e.g. 1e6), FACTOR is a slow-down multiplier and SPAN a duration in
-// cycles. TIME and SPAN must be finite, TIME >= 0 and SPAN >= 1, and
-// TIME+SPAN must fit sim.Time; FACTOR must lie in [1, MaxFactor]
-// (100). Only the slow-down kinds take a factor and only lock takes a
+// cycles. TIME and SPAN must be finite, TIME >= 0, SPAN must lie in
+// [1, MaxSpan] (1e9), and TIME+SPAN must fit sim.Time; FACTOR must lie
+// in [1, MaxFactor] (100). Only the slow-down kinds take a factor and only lock takes a
 // span, so every accepted plan renders back (Plan.String) to itself.
 // The kinds:
 //
@@ -23,7 +23,8 @@
 //	module:Nx2@T  module N's service time inflates 2x
 //	port:Nx4@T    forward stage-1 network port N runs at 1/4 bandwidth
 //	lock:C@T+S    a rogue kernel thread holds cluster C's kernel lock
-//	              for S cycles (C = -1: the global kernel lock)
+//	              for S <= MaxSpan cycles (C = -1: the global kernel
+//	              lock)
 //	storm:C@T     paging storm: cluster task C's page mappings are
 //	              invalidated and re-fault on next touch (C = -1: all)
 package faults
@@ -81,6 +82,14 @@ const (
 // with one CE slowed 100x finishes in milliseconds of host time, while
 // near 1000x the same run stretches past minutes.
 const MaxFactor = 100.0
+
+// MaxSpan bounds every lock-stall span, in cycles. A stalled lock
+// keeps the kernel watchdog ticking through the whole span, so host
+// time grows linearly with it (FLO52 on 8proc: about 0.4 s at 1e10
+// cycles, 37 s at 1e12). 1e9 cycles is 50 s of virtual time, far past
+// any paper run's completion time, and still finishes in well under a
+// second of host time even on Scaled256.
+const MaxSpan = 1_000_000_000
 
 // Event is one fault: Kind fires against Target at virtual time At.
 // Factor carries the slow-down multiplier for the *Slow kinds; Span
@@ -171,8 +180,8 @@ func parseOne(item string) (Event, error) {
 	// to plain "1e6" exponents).
 	if t2, spanPart, found := cutLast(timePart, '+'); found {
 		s, ok := parseCycles(spanPart)
-		if !ok || s < 1 {
-			return ev, fmt.Errorf("bad span %q", spanPart)
+		if !ok || s < 1 || s > MaxSpan {
+			return ev, fmt.Errorf("bad span %q (want 1 to %d)", spanPart, MaxSpan)
 		}
 		ev.Span = sim.Duration(s)
 		timePart = t2
@@ -301,8 +310,8 @@ func (p Plan) Validate(cfg arch.Config) error {
 					err = fmt.Errorf("factor %g outside [1,%g]", e.Factor, MaxFactor)
 				}
 			case LockStall:
-				if e.Span <= 0 {
-					err = fmt.Errorf("span %d <= 0", e.Span)
+				if e.Span <= 0 || e.Span > MaxSpan {
+					err = fmt.Errorf("span %d outside [1,%d]", e.Span, MaxSpan)
 				}
 			}
 		}

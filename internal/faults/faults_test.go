@@ -95,10 +95,29 @@ func TestParseRejectsNonFiniteAndOverflow(t *testing.T) {
 		}
 	}
 	// The bounds themselves stay accepted.
-	for _, spec := range []string{"ce:1x100@0", "lock:0@1e18+1e18", "ce:1@9.2e18"} {
+	for _, spec := range []string{"ce:1x100@0", "lock:0@1e18+1e9", "ce:1@9.2e18"} {
 		if _, err := Parse(spec); err != nil {
 			t.Errorf("Parse(%q): %v", spec, err)
 		}
+	}
+}
+
+// A lock stall holds the kernel watchdog ticking through its whole
+// span, so host time grows with the span: one past MaxSpan would pin a
+// run (or a served job's worker) for hours, and is refused.
+func TestParseRejectsSpanAboveMaxSpan(t *testing.T) {
+	for _, spec := range []string{"lock:0@1e5+1000000001", "lock:0@1e5+1e15", "lock:0@1e18+1e18"} {
+		if plan, err := Parse(spec); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", spec, plan)
+		}
+	}
+	plan, err := Parse("lock:0@1e5+1e9")
+	if err != nil || plan[0].Span != MaxSpan {
+		t.Fatalf("Parse at MaxSpan = %v, %v", plan, err)
+	}
+	plan[0].Span = MaxSpan + 1
+	if err := plan.Validate(arch.Cedar8); err == nil {
+		t.Error("Validate accepted a span past MaxSpan")
 	}
 }
 

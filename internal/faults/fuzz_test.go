@@ -14,7 +14,8 @@ import (
 // from every plan: line of the committed scenarios and fault corpus. A
 // spec must never panic the parser; an accepted plan must render back
 // to itself (Parse(p.String()) == p) and describe a schedulable fault:
-// times >= 0, finite factors in [1, MaxFactor], positive lock spans.
+// times >= 0, finite factors in [1, MaxFactor], lock spans in
+// [1, MaxSpan].
 func FuzzParse(f *testing.F) {
 	seeds := 0
 	for _, dir := range []string{"../../testdata/scenarios", "../../testdata/faultcorpus"} {
@@ -52,7 +53,7 @@ func FuzzParse(f *testing.F) {
 			if e.Factor != 0 && (math.IsNaN(e.Factor) || e.Factor < 1 || e.Factor > MaxFactor) {
 				t.Fatalf("%q: event %s factor %v outside [1,%g]", spec, e, e.Factor, MaxFactor)
 			}
-			if e.Kind == LockStall && e.Span <= 0 {
+			if e.Kind == LockStall && (e.Span <= 0 || e.Span > MaxSpan) {
 				t.Fatalf("%q: lock stall span %d", spec, e.Span)
 			}
 		}

@@ -191,11 +191,16 @@ func ParseSpec(s string) (Spec, error) {
 	return sp, nil
 }
 
-// parseRange parses "lo-hi" or a single number (a point range).
+// parseRange parses "lo-hi" or a single number (a point range). The
+// separator is the first '-' that is not an exponent sign, so bounds
+// Range.String renders in exponent form (1e-05) parse back.
 func parseRange(s string) (Range, error) {
-	lo, hi, ok := strings.Cut(s, "-")
-	if !ok {
-		hi = lo
+	lo, hi := s, s
+	for i := 1; i < len(s); i++ {
+		if s[i] == '-' && s[i-1] != 'e' && s[i-1] != 'E' {
+			lo, hi = s[:i], s[i+1:]
+			break
+		}
 	}
 	min, err := strconv.ParseFloat(strings.TrimSpace(lo), 64)
 	if err != nil {

@@ -103,6 +103,11 @@ func TestSpecStringRoundTrip(t *testing.T) {
 			Gran: Range{500, 8000}, Jitter: 0.25, Serial: Range{0.001, 0.05},
 			Pages: Range{16, 64}, GM: Range{0.05, 0.2}, Hot: 1},
 	}
+	// Bounds below 1e-4 render in exponent form; their '-' is not the
+	// range separator.
+	small := Default()
+	small.GM, small.Serial = Range{1e-05, 1e-05}, Range{1e-06, 0.1}
+	specs = append(specs, small)
 	for _, want := range specs {
 		str := want.String()
 		got, err := ParseSpec(str)

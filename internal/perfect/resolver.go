@@ -3,17 +3,18 @@ package perfect
 // Resolver is the one place a workload source string becomes an App.
 // Every layer that used to call ByName directly — scenario files, the
 // job service, the CLIs — resolves through here, so all of them accept
-// the same four source forms and emit the same errors:
+// the same three source forms and emit the same errors:
 //
 //   - a registry name ("FLO52", "finegrain", ...),
 //   - a gen: spec ("gen:seed=7,phases=4-6", see internal/perfect/gen),
-//   - a *.workload file path (when AllowFiles is set),
 //   - an inline workload document (any source containing a newline).
 //
 // The forms are syntactically disjoint: documents contain newlines,
-// gen: specs carry the prefix, file paths end in .workload, and
-// registry names are bare words. Resolution order is therefore not
-// load-bearing; it just picks the only form that can match.
+// gen: specs carry the prefix, and registry names are bare words.
+// Resolution order is therefore not load-bearing; it just picks the
+// only form that can match. A *.workload file path is refused: sources
+// travel (scenario documents, served jobs), so they carry the document
+// itself, never a path to read.
 
 import (
 	"fmt"
@@ -33,15 +34,10 @@ var genHook func(spec string) (App, error)
 func RegisterGen(fn func(spec string) (App, error)) { genHook = fn }
 
 // Resolver resolves workload source strings.
-type Resolver struct {
-	// AllowFiles permits *.workload file paths as sources. Leave it
-	// unset where a source string arrives from the network (the job
-	// service): a remote caller must not read server-side files.
-	AllowFiles bool
-}
+type Resolver struct{}
 
 // Resolve turns a workload source into a validated App.
-func (r Resolver) Resolve(src string) (App, error) {
+func (Resolver) Resolve(src string) (App, error) {
 	switch {
 	case strings.Contains(src, "\n"):
 		return ParseWorkload([]byte(src))
@@ -51,10 +47,7 @@ func (r Resolver) Resolve(src string) (App, error) {
 		}
 		return genHook(strings.TrimPrefix(src, GenPrefix))
 	case strings.HasSuffix(src, WorkloadExt):
-		if !r.AllowFiles {
-			return App{}, fmt.Errorf("perfect: workload file %q not allowed here (inline the document instead)", src)
-		}
-		return LoadWorkload(src)
+		return App{}, fmt.Errorf("perfect: workload file %q not allowed here (inline the document instead)", src)
 	default:
 		a, ok := ByName(src)
 		if !ok {

@@ -33,8 +33,6 @@ package perfect
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -225,33 +223,4 @@ func parsePhaseField(p *Phase, key, val string) error {
 // kindTokens lists the textual phase kinds in declaration order.
 func kindTokens() []string {
 	return []string{"serial", "sdoall", "xdoall", "mc-cdoall", "mc-cdoacross"}
-}
-
-// LoadWorkload reads and parses one .workload file.
-func LoadWorkload(path string) (App, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return App{}, err
-	}
-	a, err := ParseWorkload(data)
-	if err != nil {
-		return a, fmt.Errorf("%s: %w", path, err)
-	}
-	return a, nil
-}
-
-// WriteWorkload writes the app's canonical document, prefixed with an
-// optional #-comment block.
-func WriteWorkload(path string, a App, comment string) error {
-	var b strings.Builder
-	if comment != "" {
-		for _, l := range strings.Split(comment, "\n") {
-			fmt.Fprintf(&b, "# %s\n", l)
-		}
-	}
-	b.Write(PrintWorkload(a))
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

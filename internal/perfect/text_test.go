@@ -66,7 +66,11 @@ func TestWorkloadGoldens(t *testing.T) {
 			continue
 		}
 		seen[base] = true
-		got, err := LoadWorkload(f)
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseWorkload(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -76,10 +80,6 @@ func TestWorkloadGoldens(t *testing.T) {
 		}
 		// The golden's non-comment body must be byte-identical to the
 		// canonical print of the constructor.
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var body []string
 		for _, l := range strings.Split(string(raw), "\n") {
 			if strings.HasPrefix(strings.TrimSpace(l), "#") {
@@ -209,7 +209,7 @@ func TestSyntheticSpecDefaults(t *testing.T) {
 }
 
 func TestResolverForms(t *testing.T) {
-	r := Resolver{AllowFiles: true}
+	r := Resolver{}
 	if a, err := r.Resolve("FLO52"); err != nil || a.Name != "FLO52" {
 		t.Errorf("name form: %v %v", a.Name, err)
 	}
@@ -219,11 +219,12 @@ func TestResolverForms(t *testing.T) {
 	if a, err := r.Resolve(string(PrintWorkload(MDG()))); err != nil || a.Name != "MDG" {
 		t.Errorf("inline form: %v %v", a.Name, err)
 	}
-	if a, err := r.Resolve(filepath.Join("..", "..", "testdata", "workloads", "ocean.workload")); err != nil || a.Name != "OCEAN" {
-		t.Errorf("file form: %v %v", a.Name, err)
-	}
-	if _, err := (Resolver{}).Resolve("x.workload"); err == nil || !strings.Contains(err.Error(), "not allowed") {
-		t.Errorf("file form without AllowFiles: %v", err)
+	// A file path is refused even when the file exists: sources travel
+	// (scenario documents, served jobs) and carry the document itself.
+	for _, path := range []string{"x.workload", filepath.Join("..", "..", "testdata", "workloads", "ocean.workload")} {
+		if _, err := r.Resolve(path); err == nil || !strings.Contains(err.Error(), "not allowed") {
+			t.Errorf("file form %s: %v", path, err)
+		}
 	}
 	_, err := r.Resolve("NOSUCH")
 	if err == nil || !strings.Contains(err.Error(), `unknown app "NOSUCH" (known: FLO52, ARC2D, MDG, OCEAN, ADM, finegrain, coarsegrain)`) {

@@ -147,6 +147,59 @@ func TestDocumentMatchesCommittedFiles(t *testing.T) {
 	}
 }
 
+// TestStatfxTextMatchesGolden pins the statfx accounting of six runs to
+// committed captures, spelled as the very scenario lines CI passes to
+// cedarsim -statfx. The captures predate the metric registry, the
+// struct-of-arrays machine state and the calendar-tiered event queue
+// (the scaled and three-stage ones), so a drifted byte means one of
+// those changed simulation results, not just their rendering or speed,
+// and every recorded replay comparison silently changed meaning.
+func TestStatfxTextMatchesGolden(t *testing.T) {
+	for golden, line := range map[string]string{
+		"statfx_flo52_8p.txt":        "app=FLO52 config=8proc steps=2 plan=",
+		"statfx_ocean_8p_fault.txt":  "app=OCEAN config=8proc steps=2 plan=ce:1@76414",
+		"statfx_flo52_scaled64.txt":  "app=FLO52 config=scaled64 steps=2 plan=",
+		"statfx_ocean_scaled128.txt": "app=OCEAN config=scaled128 steps=2 plan=",
+		"statfx_flo52_scaled256.txt": "app=FLO52 config=scaled256 steps=2 plan=",
+		"statfx_mdg_deep64.txt":      "app=MDG config=deep64 steps=2 plan=",
+	} {
+		want, err := os.ReadFile(filepath.Join("../../testdata/golden", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Load(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, _, err := Check(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.StatfxText(); got != string(want) {
+			t.Errorf("%s: StatfxText of %q differs from golden:\n%s", golden, line, got)
+		}
+	}
+}
+
+// Load takes a .scenario path as a document and anything else as the
+// one-line form.
+func TestLoad(t *testing.T) {
+	sc, err := Load("../../testdata/faultcorpus/roadmap-pgflt-deadlock.scenario")
+	if err != nil || sc.Name != "roadmap-pgflt-deadlock" || sc.File == "" {
+		t.Fatalf("document: %v, %v", sc, err)
+	}
+	sc, err = Load("app=FLO52 config=8proc steps=2 plan=")
+	if err != nil || sc.AppName() != "FLO52" || sc.ScaleFactor() != 1 || sc.File != "" {
+		t.Fatalf("line: %v, %v", sc, err)
+	}
+	if _, err := Load("missing.scenario"); err == nil {
+		t.Fatal("a missing document loaded")
+	}
+	if _, err := Load("app=FLO52 config=8proc"); err == nil || !strings.Contains(err.Error(), "plan=") {
+		t.Fatalf("a line without plan=: %v", err)
+	}
+}
+
 func TestLoadDirFaultCorpus(t *testing.T) {
 	scs, err := LoadDir("../../testdata/faultcorpus")
 	if err != nil {

@@ -45,7 +45,8 @@
 // # One-line form
 //
 // A scenario whose app has a single-line source also renders as one
-// line, for logs, cedarsim -replay and serve replay/corpus jobs:
+// line, for logs, the cedarsim and cedartrace command lines (see Load)
+// and serve replay/corpus jobs:
 //
 //	app=FLO52 config=8proc steps=1 seed=12345 plan=ce:1@76414 expect=deadlock
 //
@@ -68,7 +69,6 @@ import (
 	"strings"
 	"unicode"
 
-	cedar "repro"
 	"repro/internal/arch"
 	"repro/internal/faults"
 	"repro/internal/perfect"
@@ -564,38 +564,17 @@ func (sc *Scenario) WithPlan(plan faults.Plan) (*Scenario, error) {
 	return &c, nil
 }
 
-// FromRun returns the scenario that re-runs one cedar run bit for bit:
-// source on cfg under opts, unscaled, with the kernel seed resolved
-// (so the scenario keeps reproducing the run even if the default seed
-// derivation changes) and expect the outcome to declare. source is the
-// app's single-line source (a registry name or gen: spec) or its
-// workload document text, which the scenario carries as a workload:
-// block. A run the scenario cannot describe — a custom machine, or
-// options it has no key for — is an error, never a scenario that
-// would replay something else.
-func FromRun(name, source string, cfg arch.Config, opts cedar.Options, expect string) (*Scenario, error) {
-	if fam, ok := arch.FamilyByName(cfg.Name); !ok || fam != cfg {
-		return nil, fmt.Errorf("scenario %s: configuration %s is not a named family member", name, cfg.Name)
+// PinSeed sets Seed to the kernel seed the scenario's run starts with
+// (cedar.Options.KernelSeed of the resolved, scaled app), so the
+// scenario keeps reproducing that run even if the default seed
+// derivation changes. An explicit seed stays as it is.
+func (sc *Scenario) PinSeed() error {
+	app, cfg, err := sc.Resolve()
+	if err != nil {
+		return err
 	}
-	if opts.XdoallChunk > 1 || opts.TreeFanout > 1 || opts.Costs != nil ||
-		opts.SamplerInterval != 0 || opts.WatchdogInterval != 0 {
-		return nil, fmt.Errorf("scenario %s: chunking, tree barriers, cost, sampler and watchdog overrides have no scenario key", name)
-	}
-	sc := &Scenario{Name: name, Config: cfg.Name, Steps: opts.Steps, Scale: 1,
-		Plan: opts.Faults, MaxCycles: int64(opts.MaxCycles), WallTol: 0.5}
-	if expect != ExpectOK {
-		sc.Expect = expect
-	}
-	if strings.Contains(source, "\n") {
-		sc.Workload = source
-	} else {
-		sc.App = source
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	sc.Seed = opts.KernelSeed(sc.app, cfg)
-	return sc, nil
+	sc.Seed = sc.Options().KernelSeed(app, cfg)
+	return nil
 }
 
 func nonNegInt(val string) (int, error) {
@@ -664,6 +643,16 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: plan: %w", sc.Name, err)
 	}
 	return nil
+}
+
+// Load reads one run description as the commands take it: a path
+// ending in Ext is loaded as a document, anything else is parsed as
+// the one-line form.
+func Load(arg string) (*Scenario, error) {
+	if strings.HasSuffix(arg, Ext) {
+		return LoadFile(arg)
+	}
+	return ParseLine(arg)
 }
 
 // LoadFile parses one .scenario file, defaulting the name to the file's

@@ -129,7 +129,7 @@ func TestWorkloadBadRequests(t *testing.T) {
 // A bench job whose scenario document carries an inline workload:
 // block returns the capture a direct scenario run produces, byte for
 // byte, and warm-resubmits from the cache — the cross-tool contract
-// with cedarbench and cedarsim -scenario.
+// with cedarbench.
 func TestBenchJobInlineWorkload(t *testing.T) {
 	doc := "name: bench-inline\nconfig: 8proc\nsteps: 2\nworkload:\n"
 	for _, line := range strings.Split(strings.TrimRight(inlineWorkloadDoc, "\n"), "\n") {

@@ -1,58 +1,15 @@
 package cedar
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/faults"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/perfect"
 )
-
-// TestStatfxTextMatchesGolden pins the registry-backed StatfxText to
-// the pre-registry captures: porting the accounting block onto the
-// metric registry must not move a byte, or every recorded replay
-// scenario comparison silently changes meaning.
-func TestStatfxTextMatchesGolden(t *testing.T) {
-	cases := []struct {
-		golden string
-		app    string
-		plan   string
-		cfg    arch.Config
-	}{
-		{golden: "testdata/golden/statfx_flo52_8p.txt", app: "FLO52", cfg: arch.Cedar8},
-		{golden: "testdata/golden/statfx_ocean_8p_fault.txt", app: "OCEAN", plan: "ce:1@76414", cfg: arch.Cedar8},
-		// The Scaled64–256 (and three-stage Deep64) captures predate the
-		// struct-of-arrays machine state and the calendar-tiered event
-		// queue; a drifted byte here means the intra-run fast path
-		// changed simulation results, not just simulation speed.
-		{golden: "testdata/golden/statfx_flo52_scaled64.txt", app: "FLO52", cfg: arch.Scaled64},
-		{golden: "testdata/golden/statfx_ocean_scaled128.txt", app: "OCEAN", cfg: arch.Scaled128},
-		{golden: "testdata/golden/statfx_flo52_scaled256.txt", app: "FLO52", cfg: arch.Scaled256},
-		{golden: "testdata/golden/statfx_mdg_deep64.txt", app: "MDG", cfg: arch.Deep64},
-	}
-	for _, tc := range cases {
-		want, err := os.ReadFile(tc.golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		app, _ := perfect.ByName(tc.app)
-		opts := Options{Steps: 2}
-		if tc.plan != "" {
-			if opts.Faults, err = faults.Parse(tc.plan); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := mustRun(t, app, tc.cfg, opts).StatfxText()
-		if got != string(want) {
-			t.Fatalf("%s: StatfxText differs from golden:\n%s", tc.golden, got)
-		}
-	}
-}
 
 // TestRunMetricsRegistry: the lazily built registry carries the full
 // result decomposition, dense, and agrees with the Result it was built

@@ -76,18 +76,24 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// A scenario with its seed pinned (what cedarsim -record-scenario and
+// the cedarfuzz sweep write) round-trips through both text forms and
+// replays to the same run as the unpinned original.
 func TestRecordScenarioRoundTrip(t *testing.T) {
 	plan, err := faults.Parse("ce:1@76414,module:3x2@23648")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := cedar.Options{Steps: 1, Faults: plan}
-	sc, err := scenario.FromRun("rec", "FLO52", arch.Cedar8, opts, scenario.ExpectOK)
-	if err != nil {
+	sc := &scenario.Scenario{Name: "rec", App: "FLO52", Config: arch.Cedar8.Name,
+		Steps: 1, Scale: 1, Plan: plan, WallTol: 0.5}
+	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if sc.Seed == 0 {
-		t.Fatal("recorded scenario left the seed unresolved")
+	if err := sc.PinSeed(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (cedar.Options{}).KernelSeed(perfect.FLO52(), arch.Cedar8); sc.Seed != want {
+		t.Fatalf("pinned seed %d, the run uses %d", sc.Seed, want)
 	}
 	line, err := sc.Line()
 	if err != nil {
@@ -107,11 +113,11 @@ func TestRecordScenarioRoundTrip(t *testing.T) {
 	if again, _ := doc.Line(); again != line {
 		t.Fatalf("document round trip changed the run:\n%s\n%s", line, again)
 	}
-	// An explicit seed is recorded verbatim.
-	opts.Seed = 77
-	sc2, err := scenario.FromRun("rec", "FLO52", arch.Cedar8, opts, scenario.ExpectOK)
-	if err != nil || sc2.Seed != 77 {
-		t.Fatalf("explicit seed not recorded: %v, %v", sc2, err)
+	// An explicit seed stays as it is.
+	explicit := *sc
+	explicit.Seed = 77
+	if err := explicit.PinSeed(); err != nil || explicit.Seed != 77 {
+		t.Fatalf("explicit seed not kept: %d, %v", explicit.Seed, err)
 	}
 	// The recorded scenario replays to the same run as the original call.
 	orig, err := cedar.SimulateRunErr(perfect.FLO52(), arch.Cedar8, cedar.Options{Steps: 1, Faults: plan})
@@ -124,11 +130,6 @@ func TestRecordScenarioRoundTrip(t *testing.T) {
 	}
 	if orig.StatfxText() != rep.StatfxText() {
 		t.Fatal("replaying the recorded scenario diverged from the original run")
-	}
-	// Options a scenario has no key for are refused, never dropped.
-	if _, err := scenario.FromRun("rec", "FLO52", arch.Cedar8,
-		cedar.Options{Steps: 1, XdoallChunk: 4}, scenario.ExpectOK); err == nil {
-		t.Fatal("recording dropped the chunking option")
 	}
 }
 

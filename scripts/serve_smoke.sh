@@ -55,10 +55,10 @@ done
 curl -fsS "$url/healthz" >/dev/null
 
 echo "== local reference run (cedarsim -statfx)"
-"$workdir/cedarsim" -statfx -app FLO52 -ces 8 -steps 2 >"$workdir/local.txt"
+"$workdir/cedarsim" -statfx 'app=FLO52 config=8proc steps=2 plan=' >"$workdir/local.txt"
 
 echo "== cold submit through cedarsim -server; result must be byte-identical"
-"$workdir/cedarsim" -server "$url" -app FLO52 -ces 8 -steps 2 >"$workdir/cold.txt" 2>/dev/null
+"$workdir/cedarsim" -server "$url" 'app=FLO52 config=8proc steps=2 plan=' >"$workdir/cold.txt" 2>/dev/null
 cmp "$workdir/local.txt" "$workdir/cold.txt"
 
 echo "== warm resubmit must complete at submit time from the cache"
@@ -98,7 +98,7 @@ for _ in $(seq 50); do
   sleep 0.2
 done
 wait_state "$pending_id" done
-"$workdir/cedarsim" -statfx -app FLO52 -ces 8 -steps 3 >"$workdir/local3.txt"
+"$workdir/cedarsim" -statfx 'app=FLO52 config=8proc steps=3 plan=' >"$workdir/local3.txt"
 curl -fsS "$url/jobs/$pending_id/result" >"$workdir/resumed.txt"
 cmp "$workdir/local3.txt" "$workdir/resumed.txt"
 
